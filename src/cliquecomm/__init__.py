@@ -1,7 +1,7 @@
 """Clique-seeded overlapping community detection and evaluation toolkit."""
 
 from .baselines import CpmParams, LpParams, clique_percolation, label_propagation
-from .caa import CaaParams, CaaRunSummary, grow_community, run_caa
+from .caa import CaaParams, CaaRunSummary, grow_community_with_rounds, run_caa
 from .cliques import CliqueSet, enumerate_maximal_cliques, filter_overlapping
 from .errors import (
     CliquecommError,
@@ -63,7 +63,7 @@ __all__ = [
     "evaluate",
     "extended_modularity",
     "filter_overlapping",
-    "grow_community",
+    "grow_community_with_rounds",
     "induced_subgraph",
     "label_propagation",
     "load_cover",

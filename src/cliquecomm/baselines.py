@@ -67,7 +67,7 @@ def label_propagation(g: Graph, p: LpParams = LpParams()):
     groups = {}
     for v, l in enumerate(labels):
         groups.setdefault(l, set()).add(v)
-    return sort_cover(g, (frozenset(members) for members in groups.values()))
+    return sort_cover(groups.values())
 
 
 def clique_percolation(
@@ -119,4 +119,4 @@ def clique_percolation(
     components = {}
     for idx, kc in enumerate(kcliques):
         components.setdefault(find(idx), set()).update(kc)
-    return sort_cover(g, (frozenset(nodes) for nodes in components.values()))
+    return sort_cover(components.values())

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cliques import (
@@ -45,16 +44,6 @@ class CaaRunSummary:
     community_count: int = 0
     rounds_histogram: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
-
-
-def grow_community(
-    g: Graph,
-    seed,
-    growing_threshold,
-    max_rounds: int | None = None,
-) -> frozenset:
-    community, _ = grow_community_with_rounds(g, seed, growing_threshold, max_rounds)
-    return community
 
 
 def grow_community_with_rounds(
@@ -107,7 +96,6 @@ def grow_community_with_rounds(
 def run_caa(
     g: Graph,
     params: CaaParams = CaaParams(),
-    threads: int = 1,
     deadline: float | None = None,
     summary: CaaRunSummary | None = None,
 ):
@@ -118,22 +106,15 @@ def run_caa(
     )
     seeds = filter_overlapping(cliques, params.overlapping_threshold)
 
-    def grow(seed):
-        return grow_community_with_rounds(
+    grown = []
+    for i, seed in enumerate(seeds.cliques):
+        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
+            raise DeadlineExceededError("community growth timed out")
+        grown.append(grow_community_with_rounds(
             g, seed, params.growing_threshold, params.max_rounds
-        )
+        ))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grown = list(pool.map(grow, seeds.cliques))
-    else:
-        grown = []
-        for i, seed in enumerate(seeds.cliques):
-            if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-                raise DeadlineExceededError("community growth timed out")
-            grown.append(grow(seed))
-
-    cover = sort_cover(g, (c for c, _ in grown), dedup=True)
+    cover = sort_cover((c for c, _ in grown), dedup=True)
     if summary is not None:
         summary.seed_count = len(seeds.cliques)
         summary.community_count = len(cover)

@@ -134,8 +134,7 @@ def cmd_caa(args):
         max_cliques=args.max_cliques,
     )
     summary = caa.CaaRunSummary()
-    cover = caa.run_caa(g, params, threads=args.threads,
-                        deadline=_deadline(args), summary=summary)
+    cover = caa.run_caa(g, params, deadline=_deadline(args), summary=summary)
     out = Path(args.output_dir) / "caa_cover.txt"
     save_cover(g, cover, out)
     print(
@@ -250,7 +249,7 @@ def cmd_sweep(args):
                     overlapping_threshold=0.0,
                     growing_threshold=value,
                 )
-                cover = caa.run_caa(g, params, threads=args.threads, deadline=deadline)
+                cover = caa.run_caa(g, params, deadline=deadline)
                 counts, _ = metrics.size_histogram(cover, bands)
                 for band in bands:
                     bl = metrics.band_label(band)
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="internal parallelism cap (default 1)")
+                        help="accepted and recorded in the manifest; has no effect")
     common.add_argument("--timeout-secs", type=float, default=None,
                         help="wall-clock budget; exceeding it exits 3")
     common.add_argument("--output-dir", default=".", help="where outputs land")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeadlineExceededError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, canonical_key
 
 DEFAULT_CLIQUE_CAP = 10_000_000
 
@@ -34,10 +34,8 @@ def threshold_fraction(t) -> Fraction:
     return Fraction(t)
 
 
-def sort_cliques(g: Graph, cliques) -> list:
-    return sorted(
-        cliques, key=lambda c: (-len(c), tuple(sorted(g.ids[v] for v in c)))
-    )
+def sort_cliques(cliques) -> list:
+    return sorted(cliques, key=canonical_key)
 
 
 def degeneracy_order(g: Graph) -> list:
@@ -107,7 +105,7 @@ def enumerate_maximal_cliques(
         earlier = {w for w in adj[v] if rank[w] < i}
         expand({v}, later, earlier)
 
-    return CliqueSet(cliques=sort_cliques(g, out), min_size=min_size)
+    return CliqueSet(cliques=sort_cliques(out), min_size=min_size)
 
 
 def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
@@ -153,10 +151,3 @@ def is_clique(g: Graph, members) -> bool:
         for j in range(i + 1, len(members))
     )
 
-
-def is_maximal_clique(g: Graph, members) -> bool:
-    ms = set(members)
-    if not is_clique(g, ms):
-        return False
-    candidates = set(range(g.n)) - ms
-    return not any(ms <= g.adjacency[v] for v in candidates)

@@ -2,14 +2,17 @@
 
 External node ids are opaque strings; every algorithm in the package works on
 dense integer indices [0, n) and output is translated back to external ids at
-the file boundary.
+the file boundary. Index order is external-id order in every Graph, so
+sorting indices sorts ids.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +37,8 @@ class Graph:
     """Immutable undirected simple graph with dense node indices.
 
     ids[i] is the external id of node i; adjacency[i] is the set of
-    neighbor indices. Symmetric and irreflexive by construction.
+    neighbor indices. Symmetric and irreflexive by construction. ids must be
+    strictly ascending, so index order is external-id order.
     """
 
     ids: list
@@ -42,6 +46,8 @@ class Graph:
     _index: dict = field(repr=False, default=None)
 
     def __post_init__(self):
+        if any(map(operator.ge, self.ids, islice(self.ids, 1, None))):
+            raise ValueError("graph ids must be strictly ascending")
         object.__setattr__(self, "_index", {ext: i for i, ext in enumerate(self.ids)})
 
     @property
@@ -67,9 +73,6 @@ class Graph:
             for j in nbrs:
                 if i < j:
                     yield i, j
-
-    def external_edge(self, i: int, j: int):
-        return self.ids[i], self.ids[j]
 
 
 def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
@@ -153,10 +156,16 @@ def load_edge_list(path, directed: bool = False):
 
 def save_edge_list(g: Graph, path) -> None:
     """Write an undirected graph as a deterministic tab-separated edge list."""
-    lines = sorted(g.external_edge(i, j) for i, j in g.edges())
+    ids = g.ids
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b in lines:
-            fh.write(f"{a}\t{b}\n")
+        for i, j in sorted(g.edges()):
+            fh.write(f"{ids[i]}\t{ids[j]}\n")
+
+
+def check_members(g: Graph, c) -> None:
+    """Raise IndexError unless every member of c lies in [0, g.n)."""
+    if c and (min(c) < 0 or max(c) >= g.n):
+        raise IndexError(f"community members {min(c)}..{max(c)} out of range [0, {g.n})")
 
 
 def induced_subgraph(g: Graph, c: Community) -> Graph:
@@ -164,10 +173,8 @@ def induced_subgraph(g: Graph, c: Community) -> Graph:
 
     External ids are preserved so downstream reports stay readable.
     """
+    check_members(g, c)
     members = sorted(c)
-    for v in members:
-        if not 0 <= v < g.n:
-            raise IndexError(f"community member {v} out of range for graph of size {g.n}")
     member_set = set(members)
     remap = {v: i for i, v in enumerate(members)}
     ids = [g.ids[v] for v in members]
@@ -180,8 +187,13 @@ def induced_subgraph(g: Graph, c: Community) -> Graph:
 # ---------------------------------------------------------------------------
 # Cover file I/O: one community per line, space-separated external ids.
 
-def sort_cover(g: Graph, cover: Iterable, dedup: bool = False) -> Cover:
-    """Canonical cover order: descending size, then lexicographic member ids."""
+def canonical_key(c):
+    """Descending size, then sorted members: lexicographic member ids."""
+    return -len(c), sorted(c)
+
+
+def sort_cover(cover: Iterable, dedup: bool = False) -> Cover:
+    """Canonical cover order (canonical_key), optionally without duplicates."""
     seen = set()
     out = []
     for c in cover:
@@ -191,14 +203,15 @@ def sort_cover(g: Graph, cover: Iterable, dedup: bool = False) -> Cover:
                 continue
             seen.add(c)
         out.append(c)
-    out.sort(key=lambda c: (-len(c), tuple(sorted(g.ids[v] for v in c))))
+    out.sort(key=canonical_key)
     return out
 
 
 def save_cover(g: Graph, cover: Sequence, path) -> None:
+    ids = g.ids
     with open(path, "w", encoding="utf-8") as fh:
         for c in cover:
-            fh.write(" ".join(sorted(g.ids[v] for v in c)) + "\n")
+            fh.write(" ".join([ids[v] for v in sorted(c)]) + "\n")
 
 
 def load_cover(g: Graph, path) -> Cover:
@@ -236,7 +249,8 @@ def planted_partition(
 
     Intra-block pairs are joined with probability p_in, inter-block pairs
     with p_out. Isolated nodes are retained. Node ids encode the block as
-    "<block>-<offset>" so planted membership stays recoverable.
+    "<block>-<offset>" so planted membership stays recoverable; indices
+    follow id order, so "10-0" comes before "2-0".
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -245,10 +259,16 @@ def planted_partition(
 
     n = k_blocks * block_size
     rng = np.random.default_rng(rng_seed)
-    ids = [f"{v // block_size}-{v % block_size}" for v in range(n)]
+    # Sample over block-major positions v, store under rank[v], the index
+    # of v's id in sorted order.
+    names = [f"{v // block_size}-{v % block_size}" for v in range(n)]
+    order = sorted(range(n), key=names.__getitem__)
+    rank = np.argsort(order).tolist()  # inverse permutation of order
+    ids = [names[v] for v in order]
     adjacency = [set() for _ in range(n)]
 
     def add_edge(i, j):
+        i, j = rank[i], rank[j]
         adjacency[i].add(j)
         adjacency[j].add(i)
 

@@ -108,7 +108,7 @@ def community_theme(
     Jaccard pairs and penetration are computed over members with hashtag
     data only; the missing-data count is reported alongside.
     """
-    member_ids = sorted(g.ids[v] for v in c)
+    member_ids = [g.ids[v] for v in sorted(c)]
     aggregate = {}
     top_sets = []
     missing = 0

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, check_members
 
 # Half-open at infinity only; each band is (lo, hi) inclusive, hi=None for open.
 DEFAULT_BANDS = ((1, 3), (4, 9), (10, 150), (151, None))
@@ -81,18 +82,17 @@ def extended_modularity(g: Graph, cover, bands=DEFAULT_BANDS):
     two_m = 2.0 * m
     memberships = community_memberships(g, cover)
 
+    adjacency = g.adjacency
+    inverse = [1.0 / k if k else 0.0 for k in memberships]  # 1 / O_v
     per_community = []
     eq_by_band = {band_label(b): 0.0 for b in bands}
     for c in cover:
-        adj_term = 0.0
-        deg_term = 0.0  # sum of k_v / O_v over members; squared gives pair sum
-        for v in c:
-            ov = memberships[v]
-            deg_term += g.degree(v) / ov
-            inv_ov = 1.0 / ov
-            for w in g.adjacency[v]:
-                if w in c:
-                    adj_term += inv_ov / memberships[w]
+        # fsum rounds once, so no sum depends on set iteration order.
+        # deg_term sums k_v / O_v over members; squared it gives the pair sum.
+        deg_term = math.fsum([len(adjacency[v]) * inverse[v] for v in c])
+        adj_term = math.fsum([
+            inverse[v] * math.fsum(map(inverse.__getitem__, adjacency[v] & c)) for v in c
+        ])
         contribution = (adj_term - deg_term * deg_term / two_m) / two_m
         per_community.append(contribution)
         eq_by_band[band_label(band_of(len(c), bands))] += contribution
@@ -102,21 +102,21 @@ def extended_modularity(g: Graph, cover, bands=DEFAULT_BANDS):
 
 def triangle_participants(g: Graph, c) -> set:
     """Members of c lying in at least one triangle internal to c."""
-    sub = induced_subgraph(g, c)
-    members = sorted(c)
+    check_members(g, c)
+    adjacency = g.adjacency
     in_triangle = set()
-    for i in range(sub.n):
-        if i in in_triangle:
+    for v in c:
+        if v in in_triangle:
             continue
-        nbrs = sub.adjacency[i]
-        for j in nbrs:
-            common = nbrs & sub.adjacency[j]
+        nbrs = adjacency[v] & c
+        for w in nbrs:
+            common = nbrs & adjacency[w]
             if common:
-                in_triangle.add(i)
-                in_triangle.add(j)
+                in_triangle.add(v)
+                in_triangle.add(w)
                 in_triangle.update(common)
                 break
-    return {members[i] for i in in_triangle}
+    return in_triangle
 
 
 def triangle_participation_ratio(g: Graph, c) -> float:

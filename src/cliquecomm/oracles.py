@@ -34,6 +34,14 @@ def oracle_maximal_cliques(g: Graph):
     return cliques
 
 
+def is_maximal_clique(g: Graph, members) -> bool:
+    """Members pairwise adjacent, and no other node adjacent to all of them."""
+    ms = set(members)
+    if not all(g.has_edge(a, b) for a, b in combinations(ms, 2)):
+        return False
+    return not any(ms <= g.adjacency[v] for v in range(g.n) if v not in ms)
+
+
 def oracle_modularity(g: Graph, partition) -> float:
     """Classical modularity via the literal double loop over node pairs."""
     if g.n > MAX_MODULARITY_ORACLE_N:
@@ -79,4 +87,4 @@ def oracle_cpm_k3(g: Graph):
         for i in component:
             nodes.update(triangles[i])
         covers.append(frozenset(nodes))
-    return sort_cover(g, covers)
+    return sort_cover(covers)

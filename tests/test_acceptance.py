@@ -7,7 +7,7 @@ import time
 import pytest
 
 from cliquecomm.baselines import CpmParams, LpParams, clique_percolation, label_propagation
-from cliquecomm.caa import CaaParams, grow_community, run_caa
+from cliquecomm.caa import CaaParams, grow_community_with_rounds, run_caa
 from cliquecomm.cli import main
 from cliquecomm.cliques import CliqueSet, enumerate_maximal_cliques, filter_overlapping
 from cliquecomm.graph import (
@@ -67,7 +67,7 @@ def test_criterion_03_growth_worked_example():
     edges += [("reject", ids[i]) for i in range(6)]
     g = build_graph(edges)
     seed = frozenset(g.index_of(i) for i in ids)
-    grown = grow_community(g, seed, 0.7)
+    grown = grow_community_with_rounds(g, seed, 0.7)[0]
     assert g.index_of("admit") in grown
     assert g.index_of("reject") not in grown
     report(3, "snapshot size 10 at threshold 0.7: 7 edges admit, 6 reject")
@@ -78,7 +78,7 @@ def test_criterion_04_threshold_one_fixpoint():
     for seed in range(50):
         g = gnp(30, 0.3, 4000 + seed)
         for clique in enumerate_maximal_cliques(g, 1).cliques:
-            assert grow_community(g, clique, 1.0) == clique
+            assert grow_community_with_rounds(g, clique, 1.0)[0] == clique
             seeds_checked += 1
     report(4, f"{seeds_checked} maximal-clique seeds unchanged at threshold 1.0")
 

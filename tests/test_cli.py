@@ -1,5 +1,10 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +61,23 @@ class TestGenerate:
         g = load_edge_list(tmp_path / "planted_edges.tsv")
         assert g.n == 10 and g.m == 20
 
+    # SHA-256 of planted_edges.tsv as the block-major generator wrote it,
+    # with each line turned smaller id first and the lines re-sorted: the
+    # edge set is unchanged, and every line is now written in id order.
+    @pytest.mark.parametrize("blocks, p_out, seed, digest", [
+        (12, 0.05, 3,
+         "a763d4f59e1c66a6f8af15261cde720506c12e1d744ededcdac6a38f60872ce5"),
+        (4, 0.1, 1,
+         "9bffe8c1be210449f0d0885b218e3f06070f173ca4fb9faf845e587e579ccf0c"),
+    ])
+    def test_output_digest(self, tmp_path, blocks, p_out, seed, digest):
+        assert run([
+            "generate", "--blocks", blocks, "--block-size", 5,
+            "--p-in", 0.6, "--p-out", p_out, "--seed", seed, "--output-dir", tmp_path,
+        ]) == 0
+        data = (tmp_path / "planted_edges.tsv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_bad_probability_exit_1(self, tmp_path):
         assert run([
             "generate", "--blocks", 2, "--block-size", 5,
@@ -102,6 +124,32 @@ class TestDetectors:
                 "caa", small_graph_file, "--threads", threads, "--output-dir", outdir,
             ]) == 0
             outputs.append((outdir / "caa_cover.txt").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        g = planted_partition(10, 12, 0.6, 0.02, 1)
+        graph_file = tmp_path / "graph.tsv"
+        save_edge_list(g, graph_file)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            outdir = tmp_path / f"hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            for argv in (
+                ["caa", graph_file, "--overlapping-threshold", "0.5"],
+                ["metrics", graph_file, outdir / "caa_cover.txt"],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "cliquecomm.cli", *map(str, argv),
+                     "--output-dir", str(outdir)],
+                    env=env, check=True, capture_output=True,
+                )
+            outputs.append({
+                p.name: p.read_bytes()
+                for p in sorted(outdir.iterdir())
+                if not p.name.startswith("manifest_")
+            })
+        assert sorted(outputs[0]) == ["caa_cover.txt", "metrics.csv", "metrics.json"]
         assert outputs[0] == outputs[1]
 
     def test_resource_cap_exit_3(self, small_graph_file, tmp_path):

@@ -4,13 +4,12 @@ from cliquecomm.cliques import (
     CliqueSet,
     enumerate_maximal_cliques,
     filter_overlapping,
-    is_maximal_clique,
     sort_cliques,
     threshold_fraction,
 )
 from cliquecomm.errors import ResourceLimitError
 from cliquecomm.graph import build_graph
-from cliquecomm.oracles import oracle_maximal_cliques
+from cliquecomm.oracles import is_maximal_clique, oracle_maximal_cliques
 
 from conftest import complete_graph, gnp
 
@@ -54,7 +53,7 @@ class TestEnumerate:
         cs = enumerate_maximal_cliques(g, 1)
         sizes = [len(c) for c in cs.cliques]
         assert sizes == sorted(sizes, reverse=True)
-        assert cs.cliques == sort_cliques(g, cs.cliques)
+        assert cs.cliques == sort_cliques(cs.cliques)
 
     def test_resource_cap(self):
         g = gnp(20, 0.7, 1)

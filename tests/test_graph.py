@@ -5,6 +5,7 @@ import pytest
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
     DirectedEdgeList,
+    Graph,
     build_graph,
     induced_subgraph,
     load_cover,
@@ -56,7 +57,7 @@ class TestMutualize:
             (f"v{rng.randrange(20)}", f"v{rng.randrange(20)}") for _ in range(120)
         ]
         g1 = mutualize(DirectedEdgeList(edges))
-        resym = [g1.external_edge(i, j) for i, j in g1.edges()]
+        resym = [(g1.ids[i], g1.ids[j]) for i, j in g1.edges()]
         both_ways = resym + [(b, a) for a, b in resym]
         g2 = mutualize(DirectedEdgeList(both_ways))
         assert g1.ids == g2.ids
@@ -109,8 +110,8 @@ class TestEdgeListIO:
         f = tmp_path / "out.tsv"
         save_edge_list(g, f)
         g2 = load_edge_list(f)
-        edges1 = {frozenset(g.external_edge(i, j)) for i, j in g.edges()}
-        edges2 = {frozenset(g2.external_edge(i, j)) for i, j in g2.edges()}
+        edges1 = {frozenset((g.ids[i], g.ids[j])) for i, j in g.edges()}
+        edges2 = {frozenset((g2.ids[i], g2.ids[j])) for i, j in g2.edges()}
         assert edges1 == edges2
 
 
@@ -131,11 +132,11 @@ class TestInducedSubgraph:
         members = frozenset(random.Random(0).sample(range(10), 5))
         sub = induced_subgraph(g, members)
         expected = {
-            frozenset(g.external_edge(i, j))
+            frozenset((g.ids[i], g.ids[j]))
             for i, j in g.edges()
             if i in members and j in members
         }
-        got = {frozenset(sub.external_edge(i, j)) for i, j in sub.edges()}
+        got = {frozenset((sub.ids[i], sub.ids[j])) for i, j in sub.edges()}
         assert got == expected
 
     def test_full_subgraph_is_identity(self):
@@ -148,6 +149,24 @@ class TestInducedSubgraph:
         g = complete_graph(3)
         with pytest.raises(IndexError):
             induced_subgraph(g, frozenset({0, 99}))
+
+
+class TestIdOrder:
+    def test_out_of_order_ids_rejected(self):
+        with pytest.raises(ValueError):
+            Graph(ids=["b", "a"], adjacency=[set(), set()])
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError):
+            Graph(ids=["a", "b", "b"], adjacency=[set(), set(), set()])
+
+    def test_planted_ids_ascending(self):
+        # 12 blocks of 11: "10-0" < "2-0" and "0-10" < "0-2" as strings
+        g = planted_partition(12, 11, 0.5, 0.05, 0)
+        assert g.ids == sorted(set(g.ids))
+        assert g.index_of("10-0") < g.index_of("2-0")
+        assert g.index_of("0-10") < g.index_of("0-2")
+        assert_graph_invariants(g)
 
 
 class TestPlantedPartition:
@@ -189,7 +208,7 @@ class TestPlantedPartition:
 class TestCoverIO:
     def test_round_trip(self, tmp_path):
         g = gnp(8, 0.6, 4)
-        cover = sort_cover(g, [frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({4})])
+        cover = sort_cover([frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({4})])
         f = tmp_path / "cover.txt"
         save_cover(g, cover, f)
         assert load_cover(g, f) == cover
@@ -204,7 +223,6 @@ class TestCoverIO:
     def test_sort_order(self):
         g = gnp(6, 1.0, 0)
         cover = sort_cover(
-            g,
             [frozenset({5}), frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 1, 2})],
         )
         sizes = [len(c) for c in cover]
@@ -214,5 +232,5 @@ class TestCoverIO:
 
     def test_dedup(self):
         g = complete_graph(4)
-        cover = sort_cover(g, [frozenset({0, 1}), frozenset({1, 0})], dedup=True)
+        cover = sort_cover([frozenset({0, 1}), frozenset({1, 0})], dedup=True)
         assert len(cover) == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from cliquecomm.metrics import (
     evaluate,
     extended_modularity,
     size_histogram,
+    triangle_participants,
     triangle_participation_ratio,
     validate_bands,
 )
@@ -168,11 +170,32 @@ class TestTpr:
         g = build_graph([("a", "b"), ("b", "d"), ("a", "d"), ("a", "c")])
         assert triangle_participation_ratio(g, frozenset(g.index_of(x) for x in "abc")) == 0.0
 
+    def test_matches_brute_force(self):
+        g = gnp(14, 0.45, 12)
+        rng = random.Random(4)
+        for _ in range(30):
+            c = frozenset(rng.sample(range(g.n), rng.randint(3, 12)))
+            expected = {
+                v
+                for t in combinations(sorted(c), 3)
+                if all(g.has_edge(a, b) for a, b in combinations(t, 2))
+                for v in t
+            }
+            assert triangle_participants(g, c) == expected
+
+    def test_out_of_range_member(self):
+        g = complete_graph(3)
+        with pytest.raises(IndexError):
+            triangle_participants(g, frozenset({0, 1, 99}))
+        # a negative index would otherwise wrap to the last node
+        with pytest.raises(IndexError):
+            triangle_participants(g, frozenset({0, 1, -1}))
+
 
 class TestEvaluate:
     def test_two_k5_report(self):
         g = two_k5()
-        cover = sort_cover(g, [frozenset(range(5)), frozenset(range(5, 10))])
+        cover = sort_cover([frozenset(range(5)), frozenset(range(5, 10))])
         r = evaluate(g, cover)
         assert r.community_count == 2
         assert r.largest_community_size == 5
@@ -195,7 +218,7 @@ class TestEvaluate:
 
     def test_cover_file_round_trip_same_report(self, tmp_path):
         g = gnp(20, 0.4, 44)
-        cover = sort_cover(g, random_partition(g.n, 4, 1))
+        cover = sort_cover(random_partition(g.n, 4, 1))
         f = tmp_path / "cover.txt"
         save_cover(g, cover, f)
         assert evaluate(g, load_cover(g, f)).to_dict() == evaluate(g, cover).to_dict()
