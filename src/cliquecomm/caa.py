@@ -43,7 +43,6 @@ class CaaRunSummary:
     seed_count: int = 0
     community_count: int = 0
     rounds_histogram: dict = field(default_factory=dict)
-    wall_seconds: float = 0.0
 
 
 def grow_community_with_rounds(
@@ -100,14 +99,27 @@ def run_caa(
     summary: CaaRunSummary | None = None,
 ):
     """Full pipeline: enumerate cliques, filter seeds, grow, dedup, sort."""
-    start = time.monotonic()
     cliques = enumerate_maximal_cliques(
         g, params.min_clique_size, params.max_cliques, deadline
     )
     seeds = filter_overlapping(cliques, params.overlapping_threshold)
+    return grow_seeds(g, seeds.cliques, params, deadline, summary)
 
+
+def grow_seeds(
+    g: Graph,
+    seeds,
+    params: CaaParams = CaaParams(),
+    deadline: float | None = None,
+    summary: CaaRunSummary | None = None,
+):
+    """Grow each seed clique under params' growth rule, then dedup and sort.
+
+    Only growing_threshold and max_rounds are read from params; the seeds
+    are taken as given, so one filtered seed list serves many thresholds.
+    """
     grown = []
-    for i, seed in enumerate(seeds.cliques):
+    for i, seed in enumerate(seeds):
         if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
             raise DeadlineExceededError("community growth timed out")
         grown.append(grow_community_with_rounds(
@@ -116,17 +128,11 @@ def run_caa(
 
     cover = sort_cover((c for c, _ in grown), dedup=True)
     if summary is not None:
-        summary.seed_count = len(seeds.cliques)
+        summary.seed_count = len(grown)
         summary.community_count = len(cover)
         hist = {}
         for _, rounds in grown:
             hist[rounds] = hist.get(rounds, 0) + 1
         summary.rounds_histogram = dict(sorted(hist.items()))
-        summary.wall_seconds = time.monotonic() - start
-    logger.info(
-        "caa: %d seeds -> %d communities in %.2fs",
-        len(seeds.cliques),
-        len(cover),
-        time.monotonic() - start,
-    )
+    logger.info("caa: %d seeds -> %d communities", len(grown), len(cover))
     return cover

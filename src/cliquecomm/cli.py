@@ -1,7 +1,8 @@
 """Command-line surface: preprocess, generate, detect, evaluate, sweep, theme.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 resource cap or
-timeout. Every run writes one manifest JSON alongside its outputs.
+timeout. main() writes one manifest JSON alongside the outputs of every
+successful run.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, inputs, outputs, started, extra=None):
-    outdir = Path(args.output_dir)
+def _write_manifest(args, outdir, inputs, outputs, started, extra=None):
     manifest = {
         "subcommand": args.command,
         "params": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "command") and not callable(v)
+            if k != "command" and not callable(v)
         },
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
@@ -73,7 +73,6 @@ def _write_manifest(args, inputs, outputs, started, extra=None):
         manifest.update(extra)
     path = outdir / f"manifest_{args.command.replace('-', '_')}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _deadline(args):
@@ -99,33 +98,29 @@ def _parse_grid(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each writes its outputs under outdir and returns
+# (inputs, outputs, extra manifest keys); main() writes the manifest.
 
-def cmd_mutualize(args):
-    started = time.monotonic()
+def cmd_mutualize(args, outdir):
     d = load_edge_list(args.edges, directed=True)
     g = mutualize(d)
-    out = Path(args.output_dir) / "mutual_edges.tsv"
+    out = outdir / "mutual_edges.tsv"
     save_edge_list(g, out)
     print(f"mutualize: {len(d.edges)} directed edges -> {g.n} nodes, {g.m} mutual edges")
-    _write_manifest(args, [args.edges], [out], started,
-                    {"nodes": g.n, "edges": g.m})
-    return EXIT_OK
+    return [args.edges], [out], {"nodes": g.n, "edges": g.m}
 
 
-def cmd_generate(args):
-    started = time.monotonic()
+def cmd_generate(args, outdir):
     g = planted_partition(args.blocks, args.block_size, args.p_in, args.p_out, args.seed)
-    out = Path(args.output_dir) / "planted_edges.tsv"
+    out = outdir / "planted_edges.tsv"
     save_edge_list(g, out)
     print(f"generate: {g.n} nodes, {g.m} edges ({args.blocks} blocks of {args.block_size})")
-    _write_manifest(args, [], [out], started, {"nodes": g.n, "edges": g.m})
-    return EXIT_OK
+    return [], [out], {"nodes": g.n, "edges": g.m}
 
 
-def cmd_caa(args):
-    started = time.monotonic()
-    g = load_edge_list(args.graph)
+# Detectors for cmd_detect: (graph, args) -> (cover, extra manifest keys).
+
+def _detect_caa(g, args):
     params = caa.CaaParams(
         min_clique_size=args.min_clique_size,
         overlapping_threshold=args.overlapping_threshold,
@@ -135,55 +130,35 @@ def cmd_caa(args):
     )
     summary = caa.CaaRunSummary()
     cover = caa.run_caa(g, params, deadline=_deadline(args), summary=summary)
-    out = Path(args.output_dir) / "caa_cover.txt"
-    save_cover(g, cover, out)
-    print(
-        f"caa: {summary.seed_count} seeds -> {summary.community_count} communities "
-        f"in {summary.wall_seconds:.2f}s; rounds histogram {summary.rounds_histogram}"
-    )
-    _write_manifest(args, [args.graph], [out], started, {
+    return cover, {
         "seed_count": summary.seed_count,
-        "community_count": summary.community_count,
         "rounds_histogram": {str(k): v for k, v in summary.rounds_histogram.items()},
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_lp(args):
-    started = time.monotonic()
+def _detect_lp(g, args):
+    params = baselines.LpParams(rng_seed=args.seed, max_iterations=args.max_iterations)
+    return baselines.label_propagation(g, params), {}
+
+
+def _detect_cpm(g, args):
+    params = baselines.CpmParams(k=args.k, max_kcliques=args.max_kcliques)
+    return baselines.clique_percolation(g, params, deadline=_deadline(args)), {}
+
+
+def cmd_detect(args, outdir):
     g = load_edge_list(args.graph)
-    cover = baselines.label_propagation(
-        g, baselines.LpParams(rng_seed=args.seed, max_iterations=args.max_iterations)
-    )
-    out = Path(args.output_dir) / "lp_cover.txt"
+    cover, extra = args.detector(g, args)
+    out = outdir / f"{args.command}_cover.txt"
     save_cover(g, cover, out)
-    print(f"lp: {len(cover)} communities")
-    _write_manifest(args, [args.graph], [out], started,
-                    {"community_count": len(cover)})
-    return EXIT_OK
+    print(f"{args.command}: {len(cover)} communities"
+          + "".join(f"; {k} {v}" for k, v in extra.items()))
+    return [args.graph], [out], {**extra, "community_count": len(cover)}
 
 
-def cmd_cpm(args):
-    started = time.monotonic()
-    g = load_edge_list(args.graph)
-    cover = baselines.clique_percolation(
-        g,
-        baselines.CpmParams(k=args.k, max_kcliques=args.max_kcliques),
-        deadline=_deadline(args),
-    )
-    out = Path(args.output_dir) / "cpm_cover.txt"
-    save_cover(g, cover, out)
-    print(f"cpm: k={args.k}, {len(cover)} communities")
-    _write_manifest(args, [args.graph], [out], started,
-                    {"community_count": len(cover)})
-    return EXIT_OK
-
-
-def cmd_metrics(args):
-    started = time.monotonic()
+def cmd_metrics(args, outdir):
     g = load_edge_list(args.graph)
     bands = _parse_bands(args.bands)
-    outdir = Path(args.output_dir)
 
     reports = {}
     for cover_path in args.covers:
@@ -224,55 +199,47 @@ def cmd_metrics(args):
             f"{label:<20} {r.community_count:>11} {r.largest_community_size:>8}"
             f" {r.coverage:>9.4f} {r.eq_total:>9.4f}"
         )
-    _write_manifest(args, [args.graph, *args.covers], [json_out, csv_out], started)
-    return EXIT_OK
+    return [args.graph, *args.covers], [json_out, csv_out], None
 
 
-def cmd_sweep(args):
-    started = time.monotonic()
+def cmd_sweep(args, outdir):
     g = load_edge_list(args.graph)
     grid = _parse_grid(args.grid)
     bands = _parse_bands(args.bands)
-    outdir = Path(args.output_dir)
+    growing = args.sweep == "growing"
+    min_size = args.min_clique_size
+    if min_size is None:
+        min_size = 3 if growing else 15
+    if growing:
+        # Built up front so that a bad grid value fails before any work.
+        params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v)
+                  for v in grid]
     deadline = _deadline(args)
+    cliques = enumerate_maximal_cliques(g, min_size, deadline=deadline)
 
-    if args.sweep == "growing":
-        # Overlap fixed at 0; each grid value reruns growth and bins sizes.
-        min_size = args.min_clique_size if args.min_clique_size is not None else 3
-        out = outdir / "sweep_growing.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["growing_threshold", "band", "count"])
-            for value in grid:
-                params = caa.CaaParams(
-                    min_clique_size=min_size,
-                    overlapping_threshold=0.0,
-                    growing_threshold=value,
-                )
-                cover = caa.run_caa(g, params, deadline=deadline)
-                counts, _ = metrics.size_histogram(cover, bands)
-                for band in bands:
-                    bl = metrics.band_label(band)
-                    writer.writerow([value, bl, counts[bl]])
+    if growing:
+        # Overlap fixed at 0: one seed set, regrown and binned per grid value.
+        seeds = filter_overlapping(cliques, 0.0).cliques
+        header = ["growing_threshold", "band", "count"]
+        rows = []
+        for value, p in zip(grid, params):
+            counts, _ = metrics.size_histogram(caa.grow_seeds(g, seeds, p, deadline), bands)
+            rows += [[value, bl, counts[bl]] for bl in map(metrics.band_label, bands)]
     else:
         # Kept-clique count per overlap threshold over large seed cliques.
-        min_size = args.min_clique_size if args.min_clique_size is not None else 15
-        cliques = enumerate_maximal_cliques(g, min_size, deadline=deadline)
-        out = outdir / "sweep_overlapping.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["overlapping_threshold", "kept_cliques"])
-            for value in grid:
-                kept = filter_overlapping(cliques, value)
-                writer.writerow([value, len(kept.cliques)])
+        header = ["overlapping_threshold", "kept_cliques"]
+        rows = [[v, len(filter_overlapping(cliques, v).cliques)] for v in grid]
 
+    out = outdir / f"sweep_{args.sweep}.csv"
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"sweep: wrote {out}")
-    _write_manifest(args, [args.graph], [out], started)
-    return EXIT_OK
+    return [args.graph], [out], None
 
 
-def cmd_hashtag_report(args):
-    started = time.monotonic()
+def cmd_hashtag_report(args, outdir):
     g = load_edge_list(args.graph)
     cover = load_cover(g, args.cover)
     table = hashtags.load_hashtags(args.hashtags, preserve_case=args.preserve_case)
@@ -284,7 +251,6 @@ def cmd_hashtag_report(args):
         for c in sample
     ]
 
-    outdir = Path(args.output_dir)
     json_out = outdir / "hashtag_report.json"
     json_out.write_text(json.dumps(
         [e.to_dict() for e in entries], indent=2, sort_keys=True,
@@ -303,10 +269,7 @@ def cmd_hashtag_report(args):
                 f"members without data: {e.members_missing_data}\n"
             )
     print(f"hashtag-report: {len(entries)} communities themed")
-    _write_manifest(
-        args, [args.graph, args.cover, args.hashtags], [json_out, text_out], started
-    )
-    return EXIT_OK
+    return [args.graph, args.cover, args.hashtags], [json_out, text_out], None
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growing-threshold", type=float, default=0.7)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-cliques", type=int, default=caa.DEFAULT_CLIQUE_CAP)
-    p.set_defaults(func=cmd_caa)
+    p.set_defaults(func=cmd_detect, detector=_detect_caa)
 
     p = sub.add_parser("lp", parents=[common], help="label propagation detector")
     p.add_argument("graph")
     p.add_argument("--max-iterations", type=int, default=100)
-    p.set_defaults(func=cmd_lp)
+    p.set_defaults(func=cmd_detect, detector=_detect_lp)
 
     p = sub.add_parser("cpm", parents=[common], help="clique percolation detector")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-kcliques", type=int, default=baselines.DEFAULT_KCLIQUE_CAP)
-    p.set_defaults(func=cmd_cpm)
+    p.set_defaults(func=cmd_detect, detector=_detect_cpm)
 
     p = sub.add_parser("metrics", parents=[common],
                        help="evaluate one or more covers against a graph")
@@ -394,21 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
-    except SystemExit_Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ResourceLimitError, DeadlineExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        outdir = Path(args.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        inputs, outputs, extra = args.func(args, outdir)
+        _write_manifest(args, outdir, inputs, outputs, started, extra)
+        return EXIT_OK
+    except (ResourceLimitError, DeadlineExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (EdgeListParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, CliquecommError) as exc:
+    except (SystemExit_Usage, ValueError, CliquecommError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

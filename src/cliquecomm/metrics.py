@@ -53,6 +53,7 @@ def desirable_coverage(g: Graph, cover, lo: int = 4, hi: int = 150) -> float:
         raise ValueError(f"lo must be <= hi, got [{lo}, {hi}]")
     covered = set()
     for c in cover:
+        check_members(g, c)
         if lo <= len(c) <= hi:
             covered.update(c)
     return len(covered) / g.n if g.n else 0.0
@@ -62,6 +63,7 @@ def community_memberships(g: Graph, cover):
     """memberships[v] = number of cover communities containing v."""
     memberships = [0] * g.n
     for c in cover:
+        check_members(g, c)
         for v in c:
             memberships[v] += 1
     return memberships

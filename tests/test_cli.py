@@ -239,6 +239,41 @@ class TestSweep:
         assert len(counts) == 11
         assert counts == sorted(counts)
 
+    def test_growing_sweep_enumerates_once(self, small_graph_file, tmp_path, monkeypatch):
+        import cliquecomm.cli as cli
+        calls = []
+        real = cli.enumerate_maximal_cliques
+        monkeypatch.setattr(cli, "enumerate_maximal_cliques",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert run([
+            "sweep", small_graph_file, "--sweep", "growing",
+            "--grid", "0.5,0.7,0.9", "--output-dir", tmp_path,
+        ]) == 0
+        assert len(calls) == 1
+
+    def test_growing_sweep_matches_run_caa(self, small_graph_file, tmp_path):
+        grid = (0.5, 0.7, 0.9, 1.0)
+        assert run([
+            "sweep", small_graph_file, "--sweep", "growing",
+            "--grid", ",".join(map(str, grid)), "--output-dir", tmp_path,
+        ]) == 0
+        with open(tmp_path / "sweep_growing.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        g = load_edge_list(small_graph_file)
+        for value in grid:
+            counts, _ = metrics.size_histogram(
+                caa.run_caa(g, caa.CaaParams(growing_threshold=value)))
+            got = {r["band"]: int(r["count"])
+                   for r in rows if float(r["growing_threshold"]) == value}
+            assert got == counts
+
+    def test_bad_grid_value_exit_1_without_output(self, small_graph_file, tmp_path):
+        assert run([
+            "sweep", small_graph_file, "--sweep", "growing",
+            "--grid", "0.5,1.5", "--output-dir", tmp_path,
+        ]) == 1
+        assert not (tmp_path / "sweep_growing.csv").exists()
+
     def test_single_point_grid(self, small_graph_file, tmp_path):
         assert run([
             "sweep", small_graph_file, "--sweep", "growing", "--grid", "0.7",
@@ -269,7 +304,33 @@ class TestHashtagReport:
         assert "#gopdebate 166" in digest
 
 
+class TestExitCodes:
+    def test_memory_error_exit_3(self, small_graph_file, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("cliquecomm.cli.load_edge_list", out_of_memory)
+        assert run(["caa", small_graph_file, "--output-dir", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "manifest_caa.json").exists()
+
+
 class TestManifests:
+    @pytest.mark.parametrize("argv", [["caa"], ["lp"], ["cpm", "--k", "3"]])
+    def test_detector_manifest(self, small_graph_file, tmp_path, argv):
+        command = argv[0]
+        assert run([*argv, small_graph_file, "--output-dir", tmp_path]) == 0
+        manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+        cover_file = tmp_path / f"{command}_cover.txt"
+        assert manifest["subcommand"] == command
+        assert manifest["outputs"] == [str(cover_file)]
+        lines = cover_file.read_text().splitlines()
+        assert manifest["community_count"] == len(lines) > 0
+        caa_keys = {"seed_count", "rounds_histogram"}
+        assert caa_keys & set(manifest) == (caa_keys if command == "caa" else set())
+        if command == "caa":
+            assert sum(manifest["rounds_histogram"].values()) == manifest["seed_count"]
+        assert not {"func", "detector"} & set(manifest["params"])
+
     def test_every_run_writes_one(self, small_graph_file, tmp_path):
         assert run(["lp", small_graph_file, "--output-dir", tmp_path]) == 0
         manifest = json.loads((tmp_path / "manifest_lp.json").read_text())

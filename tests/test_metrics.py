@@ -96,6 +96,11 @@ class TestCoverage:
         with pytest.raises(ValueError):
             desirable_coverage(gnp(5, 0.5, 0), [], 10, 4)
 
+    def test_negative_member_rejected(self):
+        # -1 would otherwise count as a covered node
+        with pytest.raises(IndexError):
+            desirable_coverage(complete_graph(4), [frozenset({0, 1, 2, -1})])
+
 
 class TestExtendedModularity:
     def test_reduces_to_classical_on_disjoint_covers(self):
@@ -145,6 +150,11 @@ class TestExtendedModularity:
         g = gnp(4, 0.0, 0)
         with pytest.raises(ValueError):
             extended_modularity(g, [frozenset({0, 1})])
+
+    def test_negative_member_rejected(self):
+        # -1 would otherwise share node 3's membership count
+        with pytest.raises(IndexError):
+            extended_modularity(complete_graph(4), [frozenset({0, 1, -1})])
 
 
 class TestTpr:
