@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .cliques import enumerate_maximal_cliques
-from .errors import DeadlineExceededError, ResourceLimitError
+from .errors import ResourceLimitError
 from .graph import Graph, sort_cover
 
 DEFAULT_KCLIQUE_CAP = 10_000_000
@@ -70,11 +69,7 @@ def label_propagation(g: Graph, p: LpParams = LpParams()):
     return sort_cover(groups.values())
 
 
-def clique_percolation(
-    g: Graph,
-    p: CpmParams,
-    deadline: float | None = None,
-):
+def clique_percolation(g: Graph, p: CpmParams):
     """Clique percolation: communities are unions of k-cliques chained by
     (k-1)-node overlaps.
 
@@ -82,11 +77,9 @@ def clique_percolation(
     k-cliques land in the same community iff connected through a chain of
     pairs sharing k-1 nodes.
     """
-    maximal = enumerate_maximal_cliques(g, p.k, deadline=deadline)
+    maximal = enumerate_maximal_cliques(g, p.k)
     kcliques = set()
-    for i, c in enumerate(maximal.cliques):
-        if deadline is not None and i % 64 == 0 and time.monotonic() > deadline:
-            raise DeadlineExceededError("k-clique expansion timed out")
+    for c in maximal.cliques:
         for combo in combinations(sorted(c), p.k):
             kcliques.add(combo)
             if len(kcliques) > p.max_kcliques:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 from .cliques import (
@@ -13,7 +12,6 @@ from .cliques import (
     is_clique,
     threshold_fraction,
 )
-from .errors import DeadlineExceededError
 from .graph import Graph, sort_cover
 
 logger = logging.getLogger(__name__)
@@ -95,22 +93,18 @@ def grow_community_with_rounds(
 def run_caa(
     g: Graph,
     params: CaaParams = CaaParams(),
-    deadline: float | None = None,
     summary: CaaRunSummary | None = None,
 ):
     """Full pipeline: enumerate cliques, filter seeds, grow, dedup, sort."""
-    cliques = enumerate_maximal_cliques(
-        g, params.min_clique_size, params.max_cliques, deadline
-    )
+    cliques = enumerate_maximal_cliques(g, params.min_clique_size, params.max_cliques)
     seeds = filter_overlapping(cliques, params.overlapping_threshold)
-    return grow_seeds(g, seeds.cliques, params, deadline, summary)
+    return grow_seeds(g, seeds.cliques, params, summary)
 
 
 def grow_seeds(
     g: Graph,
     seeds,
     params: CaaParams = CaaParams(),
-    deadline: float | None = None,
     summary: CaaRunSummary | None = None,
 ):
     """Grow each seed clique under params' growth rule, then dedup and sort.
@@ -118,13 +112,10 @@ def grow_seeds(
     Only growing_threshold and max_rounds are read from params; the seeds
     are taken as given, so one filtered seed list serves many thresholds.
     """
-    grown = []
-    for i, seed in enumerate(seeds):
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise DeadlineExceededError("community growth timed out")
-        grown.append(grow_community_with_rounds(
-            g, seed, params.growing_threshold, params.max_rounds
-        ))
+    grown = [
+        grow_community_with_rounds(g, seed, params.growing_threshold, params.max_rounds)
+        for seed in seeds
+    ]
 
     cover = sort_cover((c for c, _ in grown), dedup=True)
     if summary is not None:

@@ -8,9 +8,11 @@ successful run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import signal
 import sys
 import time
 from pathlib import Path
@@ -75,10 +77,27 @@ def _write_manifest(args, outdir, inputs, outputs, started, extra=None):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _deadline(args):
-    if args.timeout_secs is None:
-        return None
-    return time.monotonic() + args.timeout_secs
+@contextlib.contextmanager
+def _wall_clock_budget(seconds):
+    """Raise DeadlineExceededError on the main thread after `seconds` (SIGALRM)."""
+    if seconds is None:
+        yield
+        return
+
+    def on_alarm(signum=None, frame=None):
+        raise DeadlineExceededError(f"wall-clock budget of {seconds:g} s exceeded")
+
+    if seconds <= 0:
+        on_alarm()
+    if not seconds < 2**31:  # nan, inf, or past a 32-bit time_t
+        raise ValueError(f"--timeout-secs must be finite and below 2**31, got {seconds:g}")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)  # disarm before restoring
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _parse_bands(text: str):
@@ -129,7 +148,7 @@ def _detect_caa(g, args):
         max_cliques=args.max_cliques,
     )
     summary = caa.CaaRunSummary()
-    cover = caa.run_caa(g, params, deadline=_deadline(args), summary=summary)
+    cover = caa.run_caa(g, params, summary=summary)
     return cover, {
         "seed_count": summary.seed_count,
         "rounds_histogram": {str(k): v for k, v in summary.rounds_histogram.items()},
@@ -143,7 +162,7 @@ def _detect_lp(g, args):
 
 def _detect_cpm(g, args):
     params = baselines.CpmParams(k=args.k, max_kcliques=args.max_kcliques)
-    return baselines.clique_percolation(g, params, deadline=_deadline(args)), {}
+    return baselines.clique_percolation(g, params), {}
 
 
 def cmd_detect(args, outdir):
@@ -214,8 +233,7 @@ def cmd_sweep(args, outdir):
         # Built up front so that a bad grid value fails before any work.
         params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v)
                   for v in grid]
-    deadline = _deadline(args)
-    cliques = enumerate_maximal_cliques(g, min_size, deadline=deadline)
+    cliques = enumerate_maximal_cliques(g, min_size)
 
     if growing:
         # Overlap fixed at 0: one seed set, regrown and binned per grid value.
@@ -223,7 +241,7 @@ def cmd_sweep(args, outdir):
         header = ["growing_threshold", "band", "count"]
         rows = []
         for value, p in zip(grid, params):
-            counts, _ = metrics.size_histogram(caa.grow_seeds(g, seeds, p, deadline), bands)
+            counts, _ = metrics.size_histogram(caa.grow_seeds(g, seeds, p), bands)
             rows += [[value, bl, counts[bl]] for bl in map(metrics.band_label, bands)]
     else:
         # Kept-clique count per overlap threshold over large seed cliques.
@@ -282,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and recorded in the manifest; has no effect")
     common.add_argument("--timeout-secs", type=float, default=None,
-                        help="wall-clock budget; exceeding it exits 3")
+                        help="wall-clock budget for the whole run; exceeding it exits 3")
     common.add_argument("--output-dir", default=".", help="where outputs land")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,10 +379,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outdir = Path(args.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        inputs, outputs, extra = args.func(args, outdir)
-        _write_manifest(args, outdir, inputs, outputs, started, extra)
+        # Inside the try: an alarm that lands during the disarm still exits 3.
+        with _wall_clock_budget(args.timeout_secs):
+            outdir = Path(args.output_dir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            inputs, outputs, extra = args.func(args, outdir)
+            _write_manifest(args, outdir, inputs, outputs, started, extra)
         return EXIT_OK
     except (ResourceLimitError, DeadlineExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

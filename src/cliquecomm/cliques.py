@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeadlineExceededError, ResourceLimitError
+from .errors import ResourceLimitError
 from .graph import Graph, canonical_key
 
 DEFAULT_CLIQUE_CAP = 10_000_000
@@ -68,13 +67,11 @@ def enumerate_maximal_cliques(
     g: Graph,
     min_size: int = 1,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
-    deadline: float | None = None,
 ) -> CliqueSet:
     """All maximal cliques of g with at least min_size members.
 
     Bron-Kerbosch with pivoting, outer loop in degeneracy order. Raises
-    ResourceLimitError past max_cliques and DeadlineExceededError past the
-    wall-clock deadline (time.monotonic() value).
+    ResourceLimitError past max_cliques.
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
@@ -99,8 +96,6 @@ def enumerate_maximal_cliques(
     order = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
     for i, v in enumerate(order):
-        if deadline is not None and i % 1024 == 0 and time.monotonic() > deadline:
-            raise DeadlineExceededError("clique enumeration timed out")
         later = {w for w in adj[v] if rank[w] > i}
         earlier = {w for w in adj[v] if rank[w] < i}
         expand({v}, later, earlier)

@@ -2,15 +2,19 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import cliquecomm.cli as cli
 from cliquecomm import baselines, caa, metrics
 from cliquecomm.cli import main
 from cliquecomm.graph import (
+    build_graph,
     load_cover,
     load_edge_list,
     planted_partition,
@@ -312,6 +316,81 @@ class TestExitCodes:
         assert run(["caa", small_graph_file, "--output-dir", tmp_path]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "manifest_caa.json").exists()
+
+
+class TestTimeout:
+    """--timeout-secs is one timer over the whole run of every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mutualize", "{graph}"],
+        ["generate", "--blocks", "2", "--block-size", "5", "--p-in", "0.5", "--p-out", "0"],
+        ["caa", "{graph}"],
+        ["lp", "{graph}"],
+        ["cpm", "{graph}", "--k", "3"],
+        ["metrics", "{graph}", "{cover}"],
+        ["sweep", "{graph}", "--sweep", "growing", "--grid", "0.7"],
+        ["sweep", "{graph}", "--sweep", "overlapping", "--grid", "0.5",
+         "--min-clique-size", "3"],
+        ["hashtag-report", "{graph}", "{cover}", "{tags}"],
+    ], ids=["mutualize", "generate", "caa", "lp", "cpm", "metrics", "sweep-growing",
+            "sweep-overlapping", "hashtag-report"])
+    def test_slow_first_call_exit_3(self, argv, small_graph_file, tmp_path, data_dir,
+                                    monkeypatch, capsys):
+        g = load_edge_list(small_graph_file)
+        save_cover(g, caa.run_caa(g), tmp_path / "cover.txt")
+        paths = {"graph": small_graph_file, "cover": tmp_path / "cover.txt",
+                 "tags": data_dir / "user_tags_sample.tsv"}
+        first = "planted_partition" if argv[0] == "generate" else "load_edge_list"
+        real = getattr(cli, first)
+
+        def slow(*args, **kwargs):
+            time.sleep(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, first, slow)
+        handler = signal.getsignal(signal.SIGALRM)
+        outdir = tmp_path / "out"
+        started = time.monotonic()
+        assert run([*(a.format(**paths) for a in argv),
+                    "--timeout-secs", 0.1, "--output-dir", outdir]) == 3
+        assert time.monotonic() - started < 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(outdir.glob("manifest_*"))
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
+
+    def test_dense_core_exit_3(self, tmp_path):
+        # K36 minus a perfect matching: 2**18 maximal cliques of 18 nodes.
+        ids = [f"v{i:02d}" for i in range(36)]
+        f = tmp_path / "cocktail.tsv"
+        save_edge_list(build_graph(
+            (ids[i], ids[j]) for i in range(36) for j in range(i + 1, 36) if j != i + 18
+        ), f)
+        started = time.monotonic()
+        assert run(["caa", f, "--timeout-secs", 0.2, "--output-dir", tmp_path]) == 3
+        assert time.monotonic() - started < 2
+
+    def test_disarmed_after_success(self, small_graph_file, tmp_path):
+        def before(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, before)
+        try:
+            assert run([
+                "lp", small_graph_file, "--timeout-secs", 60, "--output-dir", tmp_path,
+            ]) == 0
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is before
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "1e12"])
+    def test_unarmable_budget_exit_1(self, budget, small_graph_file, tmp_path, capsys):
+        assert run([
+            "lp", small_graph_file, "--timeout-secs", budget, "--output-dir", tmp_path,
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("manifest_*"))
 
 
 class TestManifests:

@@ -1,0 +1,88 @@
+"""Hypothesis properties of file round trips, the overlap filter and covers.
+
+"Growth is monotone in the threshold" is deliberately absent: the admission
+bar t * |C| rises as C grows, so a lower threshold can admit a node early
+that changes later rounds; monotonicity does not follow from the rule.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cliquecomm.baselines import (
+    CpmParams,
+    LpParams,
+    clique_percolation,
+    label_propagation,
+)
+from cliquecomm.caa import CaaParams, run_caa
+from cliquecomm.cliques import CliqueSet, filter_overlapping, sort_cliques
+from cliquecomm.graph import (
+    build_graph,
+    load_cover,
+    load_edge_list,
+    save_cover,
+    save_edge_list,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# Edge-list ids: no tab or line break, no leading '#' and not all whitespace;
+# the loader reads such a line as a comment or a blank line.
+edge_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1, max_size=6,
+).filter(lambda s: s.strip() and not s.startswith("#"))
+# Cover ids are space-separated, so they also hold no whitespace.
+cover_ids = st.text(
+    st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+    min_size=1, max_size=6,
+).filter(lambda s: not s.startswith("#") and s == "".join(s.split()))
+# Graphs over at most 12 nodes; build_graph drops self-loops and duplicates.
+node_ids = st.integers(0, 11).map(lambda i: f"v{i:02d}")
+graphs = st.lists(st.tuples(node_ids, node_ids), max_size=40).map(build_graph)
+
+
+def round_trip(save, load, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        save(*args, path)
+        return load(path)
+
+
+# Without self-loops every node has an edge, so the file keeps every node.
+@given(st.lists(st.tuples(edge_ids, edge_ids).filter(lambda e: e[0] != e[1]), max_size=30))
+def test_edge_list_round_trip(edges):
+    g = build_graph(edges)
+    back = round_trip(save_edge_list, load_edge_list, g)
+    assert back.ids == g.ids
+    assert back.adjacency == g.adjacency
+
+
+@given(st.data())
+def test_cover_round_trip(data):
+    ids = data.draw(st.lists(cover_ids, min_size=1, max_size=12, unique=True))
+    g = build_graph([], extra_nodes=ids)
+    member = st.integers(0, g.n - 1)
+    cover = data.draw(st.lists(st.frozensets(member, min_size=1), max_size=8))
+    assert round_trip(save_cover, lambda p: load_cover(g, p), g, cover) == cover
+
+
+@given(st.lists(st.frozensets(st.integers(0, 15), min_size=1, max_size=6), max_size=25))
+def test_filter_at_zero_is_pairwise_disjoint(sets):
+    kept = filter_overlapping(CliqueSet(sort_cliques(set(sets)), 1), 0).cliques
+    assert all(not a & b for i, a in enumerate(kept) for b in kept[i + 1:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs, st.sampled_from(["caa", "lp", "cpm3", "cpm4"]))
+def test_cover_members_in_range(g, detector):
+    cover = {
+        "caa": lambda: run_caa(g, CaaParams(min_clique_size=3)),
+        "lp": lambda: label_propagation(g, LpParams(rng_seed=1)),
+        "cpm3": lambda: clique_percolation(g, CpmParams(k=3)),
+        "cpm4": lambda: clique_percolation(g, CpmParams(k=4)),
+    }[detector]()
+    assert all(0 <= v < g.n for c in cover for v in c)
