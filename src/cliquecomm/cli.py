@@ -22,7 +22,7 @@ from .cliques import enumerate_maximal_cliques, filter_overlapping
 from .errors import (
     CliquecommError,
     DeadlineExceededError,
-    EdgeListParseError,
+    InputError,
     ResourceLimitError,
 )
 from .graph import (
@@ -183,6 +183,9 @@ def cmd_metrics(args, outdir):
     for cover_path in args.covers:
         label = Path(cover_path).stem
         cover = load_cover(g, cover_path)
+        if cover and not g.m:
+            raise InputError(f"{cover_path}: extended modularity is undefined "
+                             f"on the edgeless graph {args.graph}")
         reports[label] = metrics.evaluate(
             g, cover, bands, args.coverage_lo, args.coverage_hi
         )
@@ -386,10 +389,10 @@ def main(argv=None) -> int:
             inputs, outputs, extra = args.func(args, outdir)
             _write_manifest(args, outdir, inputs, outputs, started, extra)
         return EXIT_OK
-    except (ResourceLimitError, DeadlineExceededError, MemoryError) as exc:
+    except (ResourceLimitError, DeadlineExceededError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (EdgeListParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SystemExit_Usage, ValueError, CliquecommError) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,6 +111,13 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
     already-kept clique k shares strictly more than
     overlapping_threshold * min(|c|, |k|) nodes with it; exact ties keep
     the candidate. Threshold 0 yields a pairwise-disjoint kept set.
+
+    Only kept cliques holding one of c's `probe` rarest members are
+    compared (the prefix filter of set-similarity joins): with
+    bound = min(|c|, smallest kept size), a discarding k shares more than
+    t * bound members with c, so it holds at least one of any
+    probe = |c| - floor(t * bound) of them. At threshold 1 on size-sorted
+    input the probe is empty and nothing is compared.
     """
     t = threshold_fraction(overlapping_threshold)
     if not 0 <= t <= 1:
@@ -118,21 +126,31 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
 
     kept = []
     by_node = {}  # node -> indices into kept, to skip disjoint comparisons
+    smallest = math.inf  # smallest kept size: CliqueSet order is not enforced
     for c in cs.cliques:
+        size = len(c)
+        probe = size - num * min(size, smallest) // den
+        if probe >= size:
+            members = c
+        elif probe > 0:
+            members = sorted(c, key=lambda v: len(by_node.get(v, ())))[:probe]
+        else:
+            members = ()
         near = set()
-        for v in c:
+        for v in members:
             near.update(by_node.get(v, ()))
         discard = False
         for ki in near:
             k = kept[ki]
             overlap = len(c & k)
-            if overlap * den > num * min(len(c), len(k)):
+            if overlap * den > num * min(size, len(k)):
                 discard = True
                 break
         if discard:
             continue
         idx = len(kept)
         kept.append(c)
+        smallest = min(smallest, size)
         for v in c:
             by_node.setdefault(v, []).append(idx)
     return CliqueSet(cliques=kept, min_size=cs.min_size)

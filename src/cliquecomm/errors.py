@@ -5,7 +5,11 @@ class CliquecommError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EdgeListParseError(CliquecommError):
+class InputError(CliquecommError):
+    """Input files the command cannot use (the CLI exits 2)."""
+
+
+class EdgeListParseError(InputError):
     """A malformed record in an edge-list, cover, or hashtag file."""
 
     def __init__(self, path, line_number, message):

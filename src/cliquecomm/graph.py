@@ -130,9 +130,12 @@ def mutualize(d: DirectedEdgeList) -> Graph:
 def load_edge_list(path, directed: bool = False):
     """Read a tab-separated edge-list file.
 
-    Lines starting with '#' are comments. With directed=True the raw
-    DirectedEdgeList is returned; otherwise an undirected Graph is built
-    directly (symmetrized, deduplicated, self-loops dropped).
+    Lines starting with '#' are comments; all-whitespace lines are skipped.
+    A node id that is all whitespace or starts with '#' raises
+    EdgeListParseError, since written back it could read as a comment or a
+    blank line. With directed=True the raw DirectedEdgeList is returned;
+    otherwise an undirected Graph is built directly (symmetrized,
+    deduplicated, self-loops dropped).
     """
     edges = []
     with open(path, encoding="utf-8") as fh:
@@ -146,8 +149,10 @@ def load_edge_list(path, directed: bool = False):
                     path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
                 )
             a, b = parts
-            if not a or not b:
-                raise EdgeListParseError(path, lineno, "empty node id")
+            if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
+                raise EdgeListParseError(
+                    path, lineno, "node id is empty, all whitespace or starts with '#'"
+                )
             edges.append((a, b))
     if directed:
         return DirectedEdgeList(edges=edges)

@@ -6,6 +6,7 @@ implementation it checks; size caps keep exhaustive search under a second.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .graph import Graph, sort_cover
@@ -40,6 +41,21 @@ def is_maximal_clique(g: Graph, members) -> bool:
     if not all(g.has_edge(a, b) for a, b in combinations(ms, 2)):
         return False
     return not any(ms <= g.adjacency[v] for v in range(g.n) if v not in ms)
+
+
+def oracle_filter_overlapping(cliques, threshold) -> list:
+    """The greedy overlap filter read literally, with no index.
+
+    Each candidate, in list order, is compared with every clique kept so
+    far and kept unless one shares more than threshold * min(sizes) of its
+    members. A float threshold is read as its decimal string.
+    """
+    t = Fraction(str(threshold))
+    kept = []
+    for c in cliques:
+        if all(len(c & k) <= t * min(len(c), len(k)) for k in kept):
+            kept.append(c)
+    return kept
 
 
 def oracle_modularity(g: Graph, partition) -> float:

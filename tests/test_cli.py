@@ -22,6 +22,8 @@ from cliquecomm.graph import (
     save_edge_list,
 )
 
+from conftest import complete_graph
+
 
 @pytest.fixture
 def small_graph_file(tmp_path):
@@ -220,6 +222,15 @@ class TestMetricsCommand:
     def test_usage_error_exit_1(self, capsys):
         assert run(["metrics"]) == 1
 
+    def test_edgeless_graph_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "loops.tsv"
+        graph.write_text("a\ta\nb\tb\n")  # self-loops only: two nodes, no edge
+        cover = tmp_path / "cover.txt"
+        cover.write_text("a b\n")
+        assert run(["metrics", graph, cover, "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "manifest_metrics.json").exists()
+
 
 class TestSweep:
     def test_growing_sweep_shape(self, small_graph_file, tmp_path):
@@ -315,6 +326,24 @@ class TestExitCodes:
         monkeypatch.setattr("cliquecomm.cli.load_edge_list", out_of_memory)
         assert run(["caa", small_graph_file, "--output-dir", tmp_path]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "manifest_caa.json").exists()
+
+    def test_deep_clique_exit_3(self, tmp_path, capsys):
+        # Bron-Kerbosch recurses once per clique member; a lowered limit lets
+        # K_60 stand in for a clique deeper than the default limit of 1000.
+        f = tmp_path / "k60.tsv"
+        save_edge_list(complete_graph(60), f)
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            code = run(["caa", f, "--output-dir", tmp_path])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: maximum recursion depth")
         assert not (tmp_path / "manifest_caa.json").exists()
 
 

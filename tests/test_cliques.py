@@ -9,7 +9,11 @@ from cliquecomm.cliques import (
 )
 from cliquecomm.errors import ResourceLimitError
 from cliquecomm.graph import build_graph
-from cliquecomm.oracles import is_maximal_clique, oracle_maximal_cliques
+from cliquecomm.oracles import (
+    is_maximal_clique,
+    oracle_filter_overlapping,
+    oracle_maximal_cliques,
+)
 
 from conftest import complete_graph, gnp
 
@@ -125,6 +129,23 @@ class TestFilterOverlapping:
                 count = len(filter_overlapping(cs, t).cliques)
                 assert count >= prev
                 prev = count
+
+    def test_matching_cores_match_oracle(self):
+        # K_{2m+r} minus an m-edge matching: 2^m maximal cliques of size m + r,
+        # nothing discarded at 1.0, where the prefix probe is empty.
+        m, r = 6, 4
+        matched = {(2 * i, 2 * i + 1) for i in range(m)}
+        g = build_graph(
+            (f"v{a:02d}", f"v{b:02d}")
+            for a in range(2 * m + r) for b in range(a + 1, 2 * m + r)
+            if (a, b) not in matched
+        )
+        cs = enumerate_maximal_cliques(g, 1)
+        assert len(cs.cliques) == 2**m
+        for t in [i / 10 for i in range(11)]:
+            kept = filter_overlapping(cs, t).cliques
+            assert kept == oracle_filter_overlapping(cs.cliques, t), t
+        assert kept == cs.cliques
 
     def test_threshold_out_of_range(self):
         cs = self.make_set({0, 1})

@@ -105,6 +105,15 @@ class TestEdgeListIO:
             load_edge_list(f)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("text", ["a\t#b\n", "a\t \n", "\x0b\ta\n"])
+    def test_unwritable_id_rejected(self, tmp_path, text):
+        # Written back smaller id first, these ids could read as a comment or blank line.
+        f = tmp_path / "e.tsv"
+        f.write_text("x\ty\n" + text)
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(f)
+        assert exc.value.line_number == 2
+
     def test_round_trip(self, tmp_path):
         g = gnp(12, 0.4, 5)
         f = tmp_path / "out.tsv"

@@ -6,6 +6,7 @@ that changes later rounds; monotonicity does not follow from the rule.
 """
 
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from cliquecomm.baselines import (
 )
 from cliquecomm.caa import CaaParams, run_caa
 from cliquecomm.cliques import CliqueSet, filter_overlapping, sort_cliques
+from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
     build_graph,
     load_cover,
@@ -25,16 +27,18 @@ from cliquecomm.graph import (
     save_cover,
     save_edge_list,
 )
+from cliquecomm.oracles import oracle_filter_overlapping
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-# Edge-list ids: no tab or line break, no leading '#' and not all whitespace;
-# the loader reads such a line as a comment or a blank line.
+# Edge-list ids: no tab or line break. '#' and whitespace are drawn often,
+# so that ids the loader must reject (a leading '#', all whitespace) occur.
 edge_ids = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    st.sampled_from("# \x0b")
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
     min_size=1, max_size=6,
-).filter(lambda s: s.strip() and not s.startswith("#"))
+)
 # Cover ids are space-separated, so they also hold no whitespace.
 cover_ids = st.text(
     st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
@@ -52,10 +56,16 @@ def round_trip(save, load, *args):
         return load(path)
 
 
-# Without self-loops every node has an edge, so the file keeps every node.
+# An edge file either fails to load or is written back exactly. Without
+# self-loops every node has an edge, so the file keeps every node.
 @given(st.lists(st.tuples(edge_ids, edge_ids).filter(lambda e: e[0] != e[1]), max_size=30))
 def test_edge_list_round_trip(edges):
-    g = build_graph(edges)
+    text = "".join(f"{a}\t{b}\n" for a, b in edges)
+    try:
+        g = round_trip(lambda path: path.write_text(text, encoding="utf-8"), load_edge_list)
+    except EdgeListParseError:
+        assert any(not v.strip() or v.startswith("#") for e in edges for v in e)
+        return
     back = round_trip(save_edge_list, load_edge_list, g)
     assert back.ids == g.ids
     assert back.adjacency == g.adjacency
@@ -74,6 +84,20 @@ def test_cover_round_trip(data):
 def test_filter_at_zero_is_pairwise_disjoint(sets):
     kept = filter_overlapping(CliqueSet(sort_cliques(set(sets)), 1), 0).cliques
     assert all(not a & b for i, a in enumerate(kept) for b in kept[i + 1:])
+
+
+# A small universe and mixed sizes make overlaps, and exact ties, common.
+@given(
+    st.lists(st.frozensets(st.integers(0, 11), min_size=1, max_size=8), max_size=25),
+    st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 0.7, 0.9, 1]),
+    st.randoms(use_true_random=False),
+)
+def test_filter_matches_oracle(sets, threshold, rng):
+    canonical = sort_cliques(sets)
+    shuffled = rng.sample(canonical, len(canonical))
+    for order in (canonical, shuffled):
+        kept = filter_overlapping(CliqueSet(order, 1), threshold).cliques
+        assert kept == oracle_filter_overlapping(order, threshold)
 
 
 @settings(max_examples=50, deadline=None)
