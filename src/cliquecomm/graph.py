@@ -11,11 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import EdgeListParseError
 
@@ -48,7 +47,7 @@ class Graph:
     def __post_init__(self):
         if any(map(operator.ge, self.ids, islice(self.ids, 1, None))):
             raise ValueError("graph ids must be strictly ascending")
-        object.__setattr__(self, "_index", {ext: i for i, ext in enumerate(self.ids)})
+        object.__setattr__(self, "_index", dict(zip(self.ids, range(len(self.ids)))))
 
     @property
     def n(self) -> int:
@@ -75,35 +74,60 @@ class Graph:
                     yield i, j
 
 
-def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
-    """Build a Graph from (source_id, target_id) pairs over external ids.
+def _add_pairs(sets, keys, values) -> None:
+    """sets[k].add(v) for each k, v of the parallel columns, looped in C."""
+    deque(map(set.add, map(sets.__getitem__, keys), values), maxlen=0)
 
-    Symmetrizes, drops duplicate edges and self-loops (counted in the log),
-    and assigns dense indices in lexicographic id order. Nodes listed in
-    extra_nodes are kept even when isolated.
+
+def _unwritable_id(ids):
+    """An id of ids that save_edge_list could not write back, or None.
+
+    Such an id is empty, all whitespace, starts with '#' (written first on a
+    line it would read back as a blank or comment line), or holds a tab or a
+    line break. ids are distinct, so the rule runs once per node.
     """
-    nodes = set(extra_nodes)
-    edges = set()
-    self_loops = 0
-    duplicates = 0
-    for a, b in edge_pairs:
-        nodes.add(a)
-        nodes.add(b)
-        if a == b:
-            self_loops += 1
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in edges:
-            duplicates += 1
-        else:
-            edges.add(key)
-    ids = sorted(nodes)
-    index = {ext: i for i, ext in enumerate(ids)}
+    return next((v for v in ids if not v or v.isspace() or v[0] == "#"
+                 or "\t" in v or "\n" in v or "\r" in v), None)
+
+
+def _check_ids(ids) -> None:
+    bad = _unwritable_id(ids)
+    if bad is not None:
+        raise ValueError(f"node id {bad!r} is empty, all whitespace, starts with "
+                         "'#' or holds a tab or line break")
+
+
+def _intern(ids, *columns) -> list:
+    """Each column of external ids as a list of indices into sorted ids."""
+    index = dict(zip(ids, range(len(ids))))
+    return [list(map(index.__getitem__, col)) for col in columns]
+
+
+def _intern_pairs(pairs, extra_nodes=()):
+    """(ids, src, dst): the sorted distinct ids of (a, b) pairs and
+    extra_nodes, checked, and the pairs as two index columns."""
+    sources = [a for a, _ in pairs]
+    targets = [b for _, b in pairs]
+    ids = sorted(set(sources).union(targets, extra_nodes))
+    _check_ids(ids)
+    return ids, *_intern(ids, sources, targets)
+
+
+def _from_columns(ids, src, dst) -> Graph:
+    """The column constructor: a Graph over sorted distinct ids with one
+    undirected edge per row of the parallel index columns src and dst.
+
+    Symmetrizes, and drops duplicate edges and self-loops (counted in the
+    log). The caller has checked the ids.
+    """
     adjacency = [set() for _ in ids]
-    for a, b in edges:
-        ia, ib = index[a], index[b]
-        adjacency[ia].add(ib)
-        adjacency[ib].add(ia)
+    _add_pairs(adjacency, src, dst)
+    _add_pairs(adjacency, dst, src)
+    loops = list(map(operator.eq, src, dst))
+    for i in set(compress(src, loops)):
+        adjacency[i].discard(i)
+    self_loops = sum(loops)
+    duplicates = len(src) - self_loops - sum(map(len, adjacency)) // 2
     if self_loops or duplicates:
         logger.info(
             "build_graph: dropped %d self-loops and %d duplicate edges",
@@ -113,18 +137,37 @@ def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
     return Graph(ids=ids, adjacency=adjacency)
 
 
+def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
+    """Build a Graph from (source_id, target_id) pairs over external ids.
+
+    Symmetrizes, drops duplicate edges and self-loops (counted in the log),
+    and assigns dense indices in lexicographic id order. Nodes listed in
+    extra_nodes are kept even when isolated. An id that save_edge_list could
+    not write back raises ValueError.
+    """
+    return _from_columns(*_intern_pairs(list(edge_pairs), extra_nodes))
+
+
 def mutualize(d: DirectedEdgeList) -> Graph:
     """Keep only reciprocated directed edges; drop nodes left isolated.
 
     The undirected edge {a, b} survives iff both (a, b) and (b, a) appear
-    in the input. Self-loops never survive.
+    in the input. Self-loops never survive. An id that save_edge_list could
+    not write back raises ValueError, whether or not its edges survive.
     """
-    directed = set()
-    for a, b in d.edges:
-        if a != b:
-            directed.add((a, b))
-    mutual = [(a, b) for (a, b) in directed if a < b and (b, a) in directed]
-    return build_graph(mutual)
+    ids, src, dst = _intern_pairs(d.edges)
+    out = [set() for _ in ids]
+    _add_pairs(out, src, dst)
+    # Node i's mutual neighbors are those it points to that point back.
+    adjacency = [{j for j in nbrs if i in out[j]} for i, nbrs in enumerate(out)]
+    for i in set(compress(src, map(operator.eq, src, dst))):
+        adjacency[i].discard(i)
+    keep = list(compress(range(len(ids)), adjacency))
+    if len(keep) < len(ids):
+        remap = dict(zip(keep, range(len(keep))))
+        ids = [ids[i] for i in keep]
+        adjacency = [set(map(remap.__getitem__, adjacency[i])) for i in keep]
+    return Graph(ids=ids, adjacency=adjacency)
 
 
 def load_edge_list(path, directed: bool = False):
@@ -136,27 +179,58 @@ def load_edge_list(path, directed: bool = False):
     blank line. With directed=True the raw DirectedEdgeList is returned;
     otherwise an undirected Graph is built directly (symmetrized,
     deduplicated, self-loops dropped).
+
+    A file whose every line is two writable ids around one tab is cut into
+    its two id columns at once. Any other file goes through the line loop,
+    which names the line of the first malformed record.
     """
-    edges = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise EdgeListParseError(
-                    path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
-                )
-            a, b = parts
-            if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
-                raise EdgeListParseError(
-                    path, lineno, "node id is empty, all whitespace or starts with '#'"
-                )
-            edges.append((a, b))
+        text = fh.read()
+    tabs = text.count("\t")
+    # Text mode has already mapped "\r\n" and "\r" to "\n". Split on "\n"
+    # alone: ids may hold "\x0b", "\x85" or "\u2028", where splitlines cuts.
+    lines = text.split("\n")
+    del text  # each stage drops what it has used, to keep peak memory low
+    if lines[-1] == "":
+        lines.pop()
+    fields = None
+    if tabs == len(lines) and all(map(operator.contains, lines, repeat("\t"))):
+        # Exactly one tab per line: the fields alternate source, target.
+        fields = "\t".join(lines).split("\t")
+        distinct = set(fields)
+        if _unwritable_id(distinct) is not None:
+            fields = None
+    if fields is None:
+        fields = _parse_lines(path, lines)
+        distinct = set(fields)
+    del lines
     if directed:
-        return DirectedEdgeList(edges=edges)
-    return build_graph(edges)
+        return DirectedEdgeList(edges=list(zip(fields[0::2], fields[1::2])))
+    ids = sorted(distinct)
+    src, dst = _intern(ids, fields[0::2], fields[1::2])
+    del fields, distinct
+    return _from_columns(ids, src, dst)
+
+
+def _parse_lines(path, lines) -> list:
+    """The ids of every edge line, source then target, flat; raises
+    EdgeListParseError at the first malformed line."""
+    fields = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
+            )
+        a, b = parts
+        if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
+            raise EdgeListParseError(
+                path, lineno, "node id is empty, all whitespace or starts with '#'"
+            )
+        fields += parts
+    return fields
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -261,6 +335,8 @@ def planted_partition(
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if k_blocks < 1 or block_size < 1:
         raise ValueError("k_blocks and block_size must be >= 1")
+
+    import numpy as np  # only generate needs it; the other commands skip its import
 
     n = k_blocks * block_size
     rng = np.random.default_rng(rng_seed)

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import Graph, sort_cover
+from .errors import EdgeListParseError
+from .graph import DirectedEdgeList, Graph, sort_cover
 
 MAX_CLIQUE_ORACLE_N = 12
 MAX_CPM_ORACLE_N = 10
@@ -104,3 +105,54 @@ def oracle_cpm_k3(g: Graph):
             nodes.update(triangles[i])
         covers.append(frozenset(nodes))
     return sort_cover(covers)
+
+
+def oracle_build_graph(edge_pairs, extra_nodes=()) -> Graph:
+    """build_graph read literally: a set of string-keyed undirected edges,
+    then indices in sorted id order. Ids are not checked."""
+    nodes = set(extra_nodes)
+    edges = set()
+    for a, b in edge_pairs:
+        nodes.add(a)
+        nodes.add(b)
+        if a != b:
+            edges.add((a, b) if a <= b else (b, a))
+    ids = sorted(nodes)
+    index = {ext: i for i, ext in enumerate(ids)}
+    adjacency = [set() for _ in ids]
+    for a, b in edges:
+        adjacency[index[a]].add(index[b])
+        adjacency[index[b]].add(index[a])
+    return Graph(ids=ids, adjacency=adjacency)
+
+
+def oracle_mutualize(d: DirectedEdgeList) -> Graph:
+    """The edge {a, b} iff both (a, b) and (b, a) appear, a != b."""
+    directed = {(a, b) for a, b in d.edges if a != b}
+    return oracle_build_graph(
+        (a, b) for a, b in directed if a < b and (b, a) in directed
+    )
+
+
+def oracle_load_edge_list(path, directed=False):
+    """load_edge_list as one loop over the file's lines, with no fast path."""
+    edges = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise EdgeListParseError(
+                    path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
+                )
+            a, b = parts
+            if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
+                raise EdgeListParseError(
+                    path, lineno, "node id is empty, all whitespace or starts with '#'"
+                )
+            edges.append((a, b))
+    if directed:
+        return DirectedEdgeList(edges=edges)
+    return oracle_build_graph(edges)

@@ -90,6 +90,15 @@ class TestGenerate:
             "--p-in", 0.1, "--p-out", 0.9, "--output-dir", tmp_path,
         ]) == 1
 
+    def test_numpy_imported_only_by_generate(self):
+        # Every other command skips numpy's import time and memory.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = "import json, sys, cliquecomm, cliquecomm.cli; print(json.dumps(list(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        modules = json.loads(out.stdout)
+        assert "cliquecomm.cli" in modules and "numpy" not in modules
+
 
 class TestDetectors:
     def test_caa_matches_library(self, small_graph_file, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cliquecomm import graph as graph_module
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
     DirectedEdgeList,
@@ -98,6 +99,15 @@ class TestEdgeListIO:
             load_edge_list(f)
         assert exc.value.line_number == 1
 
+    @pytest.mark.parametrize("text, lineno", [("a\tb\tc\nd\n", 1), ("a\tb\nc\nd\te\tf\n", 2)])
+    def test_misplaced_tabs(self, tmp_path, text, lineno):
+        # As many tabs as lines, but not one per line.
+        f = tmp_path / "e.tsv"
+        f.write_text(text)
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(f)
+        assert exc.value.line_number == lineno
+
     def test_empty_id(self, tmp_path):
         f = tmp_path / "e.tsv"
         f.write_text("a\tb\n\tb\n")
@@ -122,6 +132,65 @@ class TestEdgeListIO:
         edges1 = {frozenset((g.ids[i], g.ids[j])) for i, j in g.edges()}
         edges2 = {frozenset((g2.ids[i], g2.ids[j])) for i, j in g2.edges()}
         assert edges1 == edges2
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "e.tsv"
+        f.write_text("")
+        assert load_edge_list(f).n == 0
+        assert load_edge_list(f, directed=True).edges == []
+
+    def test_only_comments(self, tmp_path):
+        f = tmp_path / "e.tsv"
+        f.write_text("# header\n#a\tb\n")
+        assert load_edge_list(f).n == 0
+        assert load_edge_list(f, directed=True).edges == []
+
+    def test_crlf_takes_the_column_path(self, tmp_path, monkeypatch):
+        f = tmp_path / "e.tsv"
+        f.write_bytes(b"a\tb\r\nb\tc\r\nc\ta")
+        monkeypatch.setattr(graph_module, "_parse_lines", None)  # the line loop
+        assert load_edge_list(f, directed=True).edges == [("a", "b"), ("b", "c"), ("c", "a")]
+        g = load_edge_list(f)
+        assert g.ids == ["a", "b", "c"] and g.m == 3
+
+    @pytest.mark.parametrize("last", ["x\t#y", "x\t \u2028", "x\ty\tz", "x"])
+    def test_bad_last_of_many_clean_lines(self, tmp_path, last):
+        # The column path reads the whole file before it can reject it; the
+        # line loop must still name the last line.
+        f = tmp_path / "e.tsv"
+        f.write_text("".join(f"n{i}\tn{i + 1}\n" for i in range(100_000)) + last + "\n")
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(f)
+        assert exc.value.line_number == 100_001
+
+
+# Ids that save_edge_list could not write back so that they load again.
+UNWRITABLE_IDS = ["", " ", "\x0b", "\u2028", "#b", "a\tb", "a\nb", "a\rb"]
+
+
+class TestIdRule:
+    @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
+    def test_build_graph_rejects(self, bad):
+        with pytest.raises(ValueError, match="node id"):
+            build_graph([(bad, "a"), ("a", "c")])
+
+    @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
+    def test_build_graph_rejects_extra_node(self, bad):
+        with pytest.raises(ValueError, match="node id"):
+            build_graph([("a", "c")], extra_nodes=[bad])
+
+    @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
+    def test_mutualize_rejects(self, bad):
+        with pytest.raises(ValueError, match="node id"):
+            mutualize(DirectedEdgeList([(bad, "a"), ("a", bad), ("a", "c")]))
+
+    def test_inner_specials_accepted(self, tmp_path):
+        # Whitespace or '#' inside an id, not all of it or leading, round-trips.
+        g = build_graph([(" a", "b#"), ("b#", "c\x0bd"), ("c\x0bd", "e\u2028")])
+        f = tmp_path / "e.tsv"
+        save_edge_list(g, f)
+        back = load_edge_list(f)
+        assert back.ids == g.ids and back.adjacency == g.adjacency
 
 
 class TestInducedSubgraph:

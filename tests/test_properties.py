@@ -1,4 +1,5 @@
-"""Hypothesis properties of file round trips, the overlap filter and covers.
+"""Hypothesis properties of edge-list ingest, file round trips, the overlap
+filter and covers.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -24,10 +25,15 @@ from cliquecomm.graph import (
     build_graph,
     load_cover,
     load_edge_list,
+    mutualize,
     save_cover,
     save_edge_list,
 )
-from cliquecomm.oracles import oracle_filter_overlapping
+from cliquecomm.oracles import (
+    oracle_filter_overlapping,
+    oracle_load_edge_list,
+    oracle_mutualize,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,6 +75,59 @@ def test_edge_list_round_trip(edges):
     back = round_trip(save_edge_list, load_edge_list, g)
     assert back.ids == g.ids
     assert back.adjacency == g.adjacency
+
+
+# Edge files that mix what the column path must hand to the line loop with
+# what it must keep: ids with '#', space, \x0b, \x85 or \u2028 (splitlines
+# would cut at the last three), empty ids, CRLF, blank and comment lines, 1
+# to 3 fields, a missing final newline, duplicates and self-loops.
+file_ids = st.text(st.sampled_from("ab# \x0b\x85\u2028"), max_size=3)
+writable_file_ids = file_ids.filter(lambda v: v.strip() and v[0] != "#")
+
+
+@st.composite
+def edge_files(draw):
+    # Writable ids, and perhaps one id of any kind.
+    pool = draw(st.lists(writable_file_ids, min_size=1, max_size=4, unique=True))
+    pool += draw(st.lists(file_ids, max_size=1))
+    ids = st.sampled_from(pool)
+    if draw(st.integers(0, 3)):  # three files in four: two fields on every line
+        line = st.tuples(ids, ids).map("\t".join)
+    else:
+        line = st.lists(ids, min_size=1, max_size=3).map("\t".join) | st.sampled_from(
+            ["", " ", "# note", "#a\tb"])
+    lines = draw(st.lists(line, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def load_or_error(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except EdgeListParseError as exc:
+        return exc.line_number, str(exc)
+
+
+@given(edge_files())
+def test_load_edge_list_matches_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for directed in (False, True):
+            got = load_or_error(load_edge_list, path, directed=directed)
+            want = load_or_error(oracle_load_edge_list, path, directed=directed)
+            if isinstance(want, tuple):
+                assert got == want
+            elif directed:
+                assert got.edges == want.edges
+                g, h = mutualize(got), oracle_mutualize(want)
+                assert (g.ids, g.adjacency) == (h.ids, h.adjacency)
+            else:
+                assert (got.ids, got.adjacency) == (want.ids, want.adjacency)
 
 
 @given(st.data())
