@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cliques import enumerate_maximal_cliques
-from .errors import ResourceLimitError
 from .graph import Graph, sort_cover
-
-DEFAULT_KCLIQUE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -26,7 +23,6 @@ class LpParams:
 @dataclass(frozen=True)
 class CpmParams:
     k: int = 3
-    max_kcliques: int = DEFAULT_KCLIQUE_CAP
 
     def __post_init__(self):
         if self.k < 3:
@@ -56,10 +52,9 @@ def label_propagation(g: Graph, p: LpParams = LpParams()):
                 lw = labels[w]
                 counts[lw] = counts.get(lw, 0) + 1
             best = max(counts.values())
-            majority = sorted(l for l, c in counts.items() if c == best)
-            if labels[v] in majority:
+            if counts.get(labels[v]) == best:
                 continue
-            labels[v] = rng.choice(majority)
+            labels[v] = rng.choice(sorted(l for l, c in counts.items() if c == best))
             changed = True
         if not changed:
             break
@@ -73,23 +68,15 @@ def clique_percolation(g: Graph, p: CpmParams):
     """Clique percolation: communities are unions of k-cliques chained by
     (k-1)-node overlaps.
 
-    k-cliques come from downsizing the maximal cliques of size >= k; two
-    k-cliques land in the same community iff connected through a chain of
-    pairs sharing k-1 nodes.
+    Union-find runs over the maximal cliques of size >= k, linked when they
+    share a (k-1)-subset, and gives the same communities as over k-cliques:
+    every k-clique lies in a maximal clique of size >= k; the k-cliques
+    inside one maximal clique are chained (swap one member at a time); and
+    two maximal cliques hold k-cliques sharing k-1 nodes iff they share k-1
+    members (those members plus one more from each side).
     """
-    maximal = enumerate_maximal_cliques(g, p.k)
-    kcliques = set()
-    for c in maximal.cliques:
-        for combo in combinations(sorted(c), p.k):
-            kcliques.add(combo)
-            if len(kcliques) > p.max_kcliques:
-                raise ResourceLimitError(
-                    f"k-clique count exceeded cap {p.max_kcliques}"
-                )
-    kcliques = sorted(kcliques)
-
-    # Union-find over k-cliques; sharing k-1 nodes == sharing a (k-1)-subset.
-    parent = list(range(len(kcliques)))
+    maximal = enumerate_maximal_cliques(g, p.k).cliques
+    parent = list(range(len(maximal)))
 
     def find(a):
         while parent[a] != a:
@@ -103,13 +90,13 @@ def clique_percolation(g: Graph, p: CpmParams):
             parent[rb] = ra
 
     by_subset = {}
-    for idx, kc in enumerate(kcliques):
-        for sub in combinations(kc, p.k - 1):
+    for idx, c in enumerate(maximal):
+        for sub in combinations(sorted(c), p.k - 1):
             first = by_subset.setdefault(sub, idx)
             if first != idx:
                 union(first, idx)
 
     components = {}
-    for idx, kc in enumerate(kcliques):
-        components.setdefault(find(idx), set()).update(kc)
+    for idx, c in enumerate(maximal):
+        components.setdefault(find(idx), set()).update(c)
     return sort_cover(components.values())

@@ -161,7 +161,7 @@ def _detect_lp(g, args):
 
 
 def _detect_cpm(g, args):
-    params = baselines.CpmParams(k=args.k, max_kcliques=args.max_kcliques)
+    params = baselines.CpmParams(k=args.k)
     return baselines.clique_percolation(g, params), {}
 
 
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cpm", parents=[common], help="clique percolation detector")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-kcliques", type=int, default=baselines.DEFAULT_KCLIQUE_CAP)
     p.set_defaults(func=cmd_detect, detector=_detect_cpm)
 
     p = sub.add_parser("metrics", parents=[common],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ResourceLimitError
 from .graph import Graph, canonical_key
@@ -112,12 +113,13 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
     overlapping_threshold * min(|c|, |k|) nodes with it; exact ties keep
     the candidate. Threshold 0 yields a pairwise-disjoint kept set.
 
-    Only kept cliques holding one of c's `probe` rarest members are
-    compared (the prefix filter of set-similarity joins): with
+    Only kept cliques holding one of any `probe` members of c are compared
+    (the prefix filter of set-similarity joins): with
     bound = min(|c|, smallest kept size), a discarding k shares more than
     t * bound members with c, so it holds at least one of any
-    probe = |c| - floor(t * bound) of them. At threshold 1 on size-sorted
-    input the probe is empty and nothing is compared.
+    probe = |c| - floor(t * bound) of them. The probe is never negative
+    (t <= 1), and at threshold 1 on size-sorted input it is empty, so
+    nothing is compared.
     """
     t = threshold_fraction(overlapping_threshold)
     if not 0 <= t <= 1:
@@ -129,15 +131,8 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
     smallest = math.inf  # smallest kept size: CliqueSet order is not enforced
     for c in cs.cliques:
         size = len(c)
-        probe = size - num * min(size, smallest) // den
-        if probe >= size:
-            members = c
-        elif probe > 0:
-            members = sorted(c, key=lambda v: len(by_node.get(v, ())))[:probe]
-        else:
-            members = ()
         near = set()
-        for v in members:
+        for v in islice(c, size - num * min(size, smallest) // den):
             near.update(by_node.get(v, ()))
         discard = False
         for ki in near:

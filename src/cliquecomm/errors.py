@@ -19,7 +19,7 @@ class EdgeListParseError(InputError):
 
 
 class ResourceLimitError(CliquecommError):
-    """A configurable resource cap (clique count, k-clique count) was exceeded."""
+    """A configurable resource cap (the maximal clique count) was exceeded."""
 
 
 class DeadlineExceededError(CliquecommError):

@@ -78,33 +78,56 @@ def oracle_modularity(g: Graph, partition) -> float:
     return q / (2.0 * m)
 
 
-def oracle_cpm_k3(g: Graph):
-    """CPM at k=3 from an explicit triangle list and its adjacency graph. n <= 10."""
+def oracle_cpm(g: Graph, k: int):
+    """CPM from an explicit k-clique list and its adjacency graph. n <= 10.
+
+    Every k-subset is tested for being a clique; communities are the node
+    sets of the connected components of k-cliques sharing k-1 nodes.
+    """
     if g.n > MAX_CPM_ORACLE_N:
         raise ValueError(f"oracle limited to n <= {MAX_CPM_ORACLE_N}")
-    triangles = [
-        t
-        for t in combinations(range(g.n), 3)
-        if g.has_edge(t[0], t[1]) and g.has_edge(t[0], t[2]) and g.has_edge(t[1], t[2])
+    cliques = [
+        set(s)
+        for s in combinations(range(g.n), k)
+        if all(g.has_edge(a, b) for a, b in combinations(s, 2))
     ]
-    # Connected components of the triangle graph (adjacent = share 2 nodes).
-    unvisited = set(range(len(triangles)))
+    unvisited = set(range(len(cliques)))
     covers = []
     while unvisited:
         stack = [unvisited.pop()]
-        component = set(stack)
+        nodes = set()
         while stack:
             i = stack.pop()
+            nodes.update(cliques[i])
             for j in list(unvisited):
-                if len(set(triangles[i]) & set(triangles[j])) == 2:
+                if len(cliques[i] & cliques[j]) == k - 1:
                     unvisited.remove(j)
-                    component.add(j)
                     stack.append(j)
-        nodes = set()
-        for i in component:
-            nodes.update(triangles[i])
         covers.append(frozenset(nodes))
     return sort_cover(covers)
+
+
+def oracle_grow(g: Graph, seed, t, max_rounds=None):
+    """Growth read literally: each round recounts |N(v) & C| from scratch
+    for every v outside C and admits, at once, every v whose count is at
+    least t * |C|, until a round admits nothing or max_rounds rounds have
+    run. Returns (community, rounds). A float t is read as its decimal
+    string; the seed is taken to be a non-empty clique.
+    """
+    t = Fraction(str(t))
+    community = set(seed)
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        admitted = [
+            v
+            for v in range(g.n)
+            if v not in community and len(g.adjacency[v] & community) >= t * len(community)
+        ]
+        if not admitted:
+            break
+        community.update(admitted)
+        rounds += 1
+    return frozenset(community), rounds
 
 
 def oracle_build_graph(edge_pairs, extra_nodes=()) -> Graph:

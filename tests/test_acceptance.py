@@ -17,7 +17,7 @@ from cliquecomm.graph import (
 )
 from cliquecomm.hashtags import community_theme, load_hashtags, user_top_k
 from cliquecomm.metrics import evaluate, extended_modularity, triangle_participation_ratio
-from cliquecomm.oracles import oracle_cpm_k3, oracle_maximal_cliques, oracle_modularity
+from cliquecomm.oracles import oracle_cpm, oracle_maximal_cliques, oracle_modularity
 
 from conftest import DATA_DIR, gnp, two_k5
 from test_metrics import random_partition
@@ -113,7 +113,7 @@ def test_criterion_06_cpm_oracle_equivalence():
         n = 6 + (seed % 5)  # sizes 6..10
         g = gnp(n, 0.45, 8000 + seed)
         got = clique_percolation(g, CpmParams(k=3))
-        assert set(got) == set(oracle_cpm_k3(g))
+        assert set(got) == set(oracle_cpm(g, 3))
     report(6, "100 graphs matched the triangle-adjacency oracle at k=3")
 
 

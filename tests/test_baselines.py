@@ -6,9 +6,8 @@ from cliquecomm.baselines import (
     clique_percolation,
     label_propagation,
 )
-from cliquecomm.errors import ResourceLimitError
 from cliquecomm.graph import build_graph, planted_block, planted_partition
-from cliquecomm.oracles import oracle_cpm_k3
+from cliquecomm.oracles import oracle_cpm
 
 from conftest import complete_graph, gnp
 
@@ -77,8 +76,8 @@ class TestCliquePercolation:
     def test_matches_triangle_oracle(self, seed):
         g = gnp(9, 0.45, 500 + seed)
         got = clique_percolation(g, CpmParams(k=3))
-        assert set(got) == set(oracle_cpm_k3(g))
-        assert got == oracle_cpm_k3(g)  # same canonical order too
+        assert set(got) == set(oracle_cpm(g, 3))
+        assert got == oracle_cpm(g, 3)  # same canonical order too
 
     def test_every_member_in_a_kclique(self):
         g = gnp(14, 0.5, 33)
@@ -97,11 +96,6 @@ class TestCliquePercolation:
         g = gnp(12, 0.3, 8)
         for c in clique_percolation(g, CpmParams(k=3)):
             assert len(c) >= 3
-
-    def test_resource_cap(self):
-        g = complete_graph(12)
-        with pytest.raises(ResourceLimitError):
-            clique_percolation(g, CpmParams(k=4, max_kcliques=10))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

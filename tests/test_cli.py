@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -407,6 +408,25 @@ class TestTimeout:
         started = time.monotonic()
         assert run(["caa", f, "--timeout-secs", 0.2, "--output-dir", tmp_path]) == 3
         assert time.monotonic() - started < 2
+
+    def test_cpm_blowup_exit_3(self, tmp_path):
+        # K120 at k = 6: one maximal clique, C(120, 5) subsets to index. A
+        # child process under a 1 GiB address-space cap, so that a lost alarm
+        # ends in MemoryError rather than in tens of GiB.
+        f = tmp_path / "k120.tsv"
+        save_edge_list(complete_graph(120), f)
+        outdir = tmp_path / "out"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "cliquecomm.cli", "cpm", str(f), "--k", "6",
+             "--timeout-secs", "0.2", "--output-dir", str(outdir)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+            timeout=300,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: wall-clock budget")
+        assert not list(outdir.glob("manifest_*"))
 
     def test_disarmed_after_success(self, small_graph_file, tmp_path):
         def before(signum, frame):

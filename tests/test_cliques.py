@@ -130,6 +130,14 @@ class TestFilterOverlapping:
                 assert count >= prev
                 prev = count
 
+    def test_unsorted_input_probes_by_smallest_kept(self):
+        # A pair kept before a larger clique: the probe of c is sized by the
+        # pair (5 of 6 members), not by the last kept size (3 of 6), and
+        # must reach 30 or 31 to see the pair.
+        a, b, c = frozenset({30, 31}), frozenset(range(10, 16)), frozenset({2, 3, 4, 5, 30, 31})
+        kept = filter_overlapping(CliqueSet(cliques=[a, b, c], min_size=1), 0.5).cliques
+        assert kept == [a, b] == oracle_filter_overlapping([a, b, c], 0.5)
+
     def test_matching_cores_match_oracle(self):
         # K_{2m+r} minus an m-edge matching: 2^m maximal cliques of size m + r,
         # nothing discarded at 1.0, where the prefix probe is empty.

@@ -43,7 +43,7 @@ def test_maximal_cliques(pair):
     assert set(got) == expected
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_clique_percolation(pair, k):
     g, reference = pair
     expected = sort_cover(nx.community.k_clique_communities(reference, k))

@@ -1,5 +1,5 @@
 """Hypothesis properties of edge-list ingest, file round trips, the overlap
-filter and covers.
+filter, growth, clique percolation and covers.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -8,6 +8,7 @@ that changes later rounds; monotonicity does not follow from the rule.
 
 import tempfile
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from cliquecomm.baselines import (
     clique_percolation,
     label_propagation,
 )
-from cliquecomm.caa import CaaParams, run_caa
+from cliquecomm.caa import CaaParams, grow_community_with_rounds, run_caa
 from cliquecomm.cliques import CliqueSet, filter_overlapping, sort_cliques
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
@@ -30,7 +31,9 @@ from cliquecomm.graph import (
     save_edge_list,
 )
 from cliquecomm.oracles import (
+    oracle_cpm,
     oracle_filter_overlapping,
+    oracle_grow,
     oracle_load_edge_list,
     oracle_mutualize,
 )
@@ -53,6 +56,21 @@ cover_ids = st.text(
 # Graphs over at most 12 nodes; build_graph drops self-loops and duplicates.
 node_ids = st.integers(0, 11).map(lambda i: f"v{i:02d}")
 graphs = st.lists(st.tuples(node_ids, node_ids), max_size=40).map(build_graph)
+
+
+@st.composite
+def graphs_over(draw, n):
+    """Graphs over 1 to n nodes in up to two blocks, each pair an edge
+    with a drawn probability inside and between blocks, so that 4- and
+    5-cliques and several communities are common."""
+    ids = [f"v{i:02d}" for i in range(draw(st.integers(1, n)))]
+    block = {v: draw(st.integers(0, 1)) for v in ids}
+    inside, between = draw(st.sampled_from([(10, 1), (9, 3), (8, 0), (5, 5), (3, 1)]))
+    edges = [
+        (a, b) for a, b in combinations(ids, 2)
+        if draw(st.integers(0, 9)) < (inside if block[a] == block[b] else between)
+    ]
+    return build_graph(edges, extra_nodes=ids)
 
 
 def round_trip(save, load, *args):
@@ -169,3 +187,29 @@ def test_cover_members_in_range(g, detector):
         "cpm4": lambda: clique_percolation(g, CpmParams(k=4)),
     }[detector]()
     assert all(0 <= v < g.n for c in cover for v in c)
+
+
+@settings(deadline=None)
+@given(graphs_over(10), st.sampled_from([3, 4, 5]))
+def test_cpm_matches_oracle(g, k):
+    assert clique_percolation(g, CpmParams(k=k)) == oracle_cpm(g, k)
+
+
+# Thresholds whose t * |C| is integral at some sizes, so exact ties occur.
+@settings(deadline=None)
+@given(
+    graphs_over(14),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 3), 0.5, Fraction(2, 3), 0.7, 0.75, 1]),
+    st.sampled_from([None, 1, 2]),
+    st.data(),
+)
+def test_grow_matches_oracle(g, threshold, max_rounds, data):
+    # A non-empty clique, maximal or not: scan a drawn prefix of a drawn
+    # node order, keeping each node adjacent to all kept so far.
+    order = data.draw(st.permutations(range(g.n)))
+    seed = set()
+    for v in order[:data.draw(st.integers(1, g.n))]:
+        if all(g.has_edge(v, w) for w in seed):
+            seed.add(v)
+    assert grow_community_with_rounds(g, seed, threshold, max_rounds) == oracle_grow(
+        g, seed, threshold, max_rounds)
