@@ -39,6 +39,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+ALARM_REARM_SECS = 0.05  # retry interval for a lost wall-clock alarm
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
@@ -79,23 +81,33 @@ def _write_manifest(args, outdir, inputs, outputs, started, extra=None):
 
 @contextlib.contextmanager
 def _wall_clock_budget(seconds):
-    """Raise DeadlineExceededError on the main thread after `seconds` (SIGALRM)."""
+    """Raise DeadlineExceededError on the main thread after `seconds` (SIGALRM).
+
+    The handler re-arms a short interval before it raises, because a raise
+    inside a gc callback is printed as ignored and lost; the alarm then
+    fires again until one raise gets through. Leaving the block disarms it.
+    """
     if seconds is None:
         yield
         return
-
-    def on_alarm(signum=None, frame=None):
-        raise DeadlineExceededError(f"wall-clock budget of {seconds:g} s exceeded")
-
+    message = f"wall-clock budget of {seconds:g} s exceeded"
     if seconds <= 0:
-        on_alarm()
+        raise DeadlineExceededError(message)
     if not seconds < 2**31:  # nan, inf, or past a 32-bit time_t
         raise ValueError(f"--timeout-secs must be finite and below 2**31, got {seconds:g}")
+    armed = True
+
+    def on_alarm(signum, frame):
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, ALARM_REARM_SECS)
+            raise DeadlineExceededError(message)
+
     previous = signal.signal(signal.SIGALRM, on_alarm)
     try:
         signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
+        armed = False  # first, so that a re-armed alarm landing here is a no-op
         signal.setitimer(signal.ITIMER_REAL, 0)  # disarm before restoring
         signal.signal(signal.SIGALRM, previous)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import ResourceLimitError
-from .graph import Graph, canonical_key
+from .graph import Graph
 
 DEFAULT_CLIQUE_CAP = 10_000_000
 
@@ -36,7 +36,14 @@ def threshold_fraction(t) -> Fraction:
 
 
 def sort_cliques(cliques) -> list:
-    return sorted(cliques, key=canonical_key)
+    """Cliques in canonical_key order: descending size, then member ids.
+
+    Two stable passes, members then size, give that order without a
+    (-len, list) key per clique.
+    """
+    out = sorted(cliques, key=sorted)
+    out.sort(key=len, reverse=True)
+    return out
 
 
 def degeneracy_order(g: Graph) -> list:
@@ -72,35 +79,66 @@ def enumerate_maximal_cliques(
 ) -> CliqueSet:
     """All maximal cliques of g with at least min_size members.
 
-    Bron-Kerbosch with pivoting, outer loop in degeneracy order. Raises
-    ResourceLimitError past max_cliques.
+    Bron-Kerbosch with pivoting, outer loop in degeneracy order, on an
+    explicit stack of frames (r, p, x, branches), so clique depth is not
+    bounded by the recursion limit. The pivot scan tries X first: an x
+    adjacent to all of P means every clique here extends to x, so the
+    subproblem is skipped. The P scan stops at |P| - 1, the most a member
+    of P can cover (Tomita, Tanaka & Takahashi 2006). A branch that cannot
+    reach min_size members is skipped. Raises ResourceLimitError past
+    max_cliques.
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     adj = g.adjacency
     out = []
+    stack = []
 
-    def expand(r, p, x):
-        if not p and not x:
-            if len(r) >= min_size:
+    def push(r, p, x):
+        # Emit r if it is maximal, or push its frame unless X dominates P.
+        if not p:
+            if not x:
                 out.append(frozenset(r))
                 if len(out) > max_cliques:
                     raise ResourceLimitError(
                         f"maximal clique count exceeded cap {max_cliques}"
                     )
             return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        size = len(p)
+        best, pivot = -1, None
+        for u in x:
+            covered = len(p & adj[u])
+            if covered > best:
+                if covered == size:
+                    return
+                best, pivot = covered, u
+        if best < size - 1:
+            for u in p:
+                covered = len(p & adj[u])
+                if covered > best:
+                    best, pivot = covered, u
+                    if covered == size - 1:
+                        break
+        stack.append((r, p, x, p - adj[pivot]))
 
-    order = degeneracy_order(g)
-    rank = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = {w for w in adj[v] if rank[w] > i}
-        earlier = {w for w in adj[v] if rank[w] < i}
-        expand({v}, later, earlier)
+    done = set()
+    for v in degeneracy_order(g):
+        later = adj[v] - done
+        if len(later) + 1 >= min_size:
+            push((v,), later, adj[v] & done)
+        done.add(v)
+        while stack:
+            # Each child gets its own P and X before w moves from P to X,
+            # so all branches of a frame are taken at once.
+            r, p, x, branches = stack.pop()
+            need = min_size - len(r) - 1
+            for w in branches:
+                nw = adj[w]
+                cp = p & nw
+                if len(cp) >= need:
+                    push(r + (w,), cp, x & nw)
+                p.remove(w)
+                x.add(w)
 
     return CliqueSet(cliques=sort_cliques(out), min_size=min_size)
 

@@ -130,6 +130,31 @@ def oracle_grow(g: Graph, seed, t, max_rounds=None):
     return frozenset(community), rounds
 
 
+def oracle_caa(g: Graph, params):
+    """run_caa read literally from the other oracles. n <= 12.
+
+    Maximal cliques of at least params.min_clique_size members, sorted by
+    descending size then member ids, go through the overlap filter; each
+    kept seed grows under params' growth rule, and the distinct
+    communities come back in the same order.
+    """
+    def canonical(c):
+        return -len(c), sorted(c)
+
+    cliques = sorted(
+        (c for c in oracle_maximal_cliques(g) if len(c) >= params.min_clique_size),
+        key=canonical,
+    )
+    seeds = oracle_filter_overlapping(cliques, params.overlapping_threshold)
+    grown = []
+    for seed in seeds:
+        community, _ = oracle_grow(
+            g, seed, params.growing_threshold, params.max_rounds)
+        if community not in grown:
+            grown.append(community)
+    return sorted(grown, key=canonical)
+
+
 def oracle_build_graph(edge_pairs, extra_nodes=()) -> Graph:
     """build_graph read literally: a set of string-keyed undirected edges,
     then indices in sorted id order. Ids are not checked."""

@@ -14,6 +14,7 @@ import pytest
 import cliquecomm.cli as cli
 from cliquecomm import baselines, caa, metrics
 from cliquecomm.cli import main
+from cliquecomm.errors import DeadlineExceededError
 from cliquecomm.graph import (
     build_graph,
     load_cover,
@@ -338,23 +339,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "manifest_caa.json").exists()
 
-    def test_deep_clique_exit_3(self, tmp_path, capsys):
-        # Bron-Kerbosch recurses once per clique member; a lowered limit lets
-        # K_60 stand in for a clique deeper than the default limit of 1000.
-        f = tmp_path / "k60.tsv"
-        save_edge_list(complete_graph(60), f)
-        depth, frame = 0, sys._getframe()
-        while frame:
-            depth, frame = depth + 1, frame.f_back
+    def test_deep_clique_exit_0(self, tmp_path):
+        # K_1100 is deeper than the default recursion limit of 1000; the
+        # enumeration keeps its own stack, so caa finds the one clique.
+        g = complete_graph(1100)
+        f = tmp_path / "k1100.tsv"
+        save_edge_list(g, f)
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
+        sys.setrecursionlimit(1000)
         try:
             code = run(["caa", f, "--output-dir", tmp_path])
         finally:
             sys.setrecursionlimit(limit)
-        assert code == 3
-        assert capsys.readouterr().err.startswith("error: maximum recursion depth")
-        assert not (tmp_path / "manifest_caa.json").exists()
+        assert code == 0
+        assert load_cover(g, tmp_path / "caa_cover.txt") == [frozenset(range(1100))]
 
 
 class TestTimeout:
@@ -408,6 +406,33 @@ class TestTimeout:
         started = time.monotonic()
         assert run(["caa", f, "--timeout-secs", 0.2, "--output-dir", tmp_path]) == 3
         assert time.monotonic() - started < 2
+
+    def test_lost_alarm_fires_again(self, small_graph_file, tmp_path, monkeypatch,
+                                    capsys):
+        # The first raise is swallowed where it lands, as one inside a gc
+        # callback is; the alarm fires again and the run still exits 3.
+        real = cli.load_edge_list
+        swallowed = []
+
+        def swallow_first(*args, **kwargs):
+            try:
+                time.sleep(1)
+            except DeadlineExceededError as exc:
+                swallowed.append(exc)
+            time.sleep(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_edge_list", swallow_first)
+        handler = signal.getsignal(signal.SIGALRM)
+        started = time.monotonic()
+        assert run(["caa", small_graph_file, "--timeout-secs", 0.1,
+                    "--output-dir", tmp_path]) == 3
+        assert time.monotonic() - started < 1
+        assert len(swallowed) == 1
+        assert capsys.readouterr().err.startswith("error: wall-clock budget of 0.1 s")
+        assert not list(tmp_path.glob("manifest_*"))
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
 
     def test_cpm_blowup_exit_3(self, tmp_path):
         # K120 at k = 6: one maximal clique, C(120, 5) subsets to index. A

@@ -1,5 +1,6 @@
-"""Hypothesis properties of edge-list ingest, file round trips, the overlap
-filter, growth, clique percolation and covers.
+"""Hypothesis properties of edge-list ingest, file round trips, clique
+enumeration and order, the overlap filter, growth, the CAA pipeline, clique
+percolation and covers.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -20,10 +21,16 @@ from cliquecomm.baselines import (
     label_propagation,
 )
 from cliquecomm.caa import CaaParams, grow_community_with_rounds, run_caa
-from cliquecomm.cliques import CliqueSet, filter_overlapping, sort_cliques
+from cliquecomm.cliques import (
+    CliqueSet,
+    enumerate_maximal_cliques,
+    filter_overlapping,
+    sort_cliques,
+)
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
     build_graph,
+    canonical_key,
     load_cover,
     load_edge_list,
     mutualize,
@@ -31,10 +38,12 @@ from cliquecomm.graph import (
     save_edge_list,
 )
 from cliquecomm.oracles import (
+    oracle_caa,
     oracle_cpm,
     oracle_filter_overlapping,
     oracle_grow,
     oracle_load_edge_list,
+    oracle_maximal_cliques,
     oracle_mutualize,
 )
 
@@ -157,6 +166,25 @@ def test_cover_round_trip(data):
     assert round_trip(save_cover, lambda p: load_cover(g, p), g, cover) == cover
 
 
+# min_size above 2 exercises the size bound on branches and outer vertices;
+# the dense blocks of graphs_over make X-dominated subproblems common.
+@settings(deadline=None)
+@given(graphs_over(12), st.integers(1, 6))
+def test_enumerate_matches_oracle(g, min_size):
+    want = sort_cliques([c for c in oracle_maximal_cliques(g) if len(c) >= min_size])
+    assert enumerate_maximal_cliques(g, min_size).cliques == want
+
+
+# Duplicates, equal sizes and shared prefixes make the tie rules matter.
+@given(
+    st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_sort_cliques_is_canonical(sets, rng):
+    shuffled = rng.sample(sets, len(sets))
+    assert sort_cliques(shuffled) == sorted(shuffled, key=canonical_key)
+
+
 @given(st.lists(st.frozensets(st.integers(0, 15), min_size=1, max_size=6), max_size=25))
 def test_filter_at_zero_is_pairwise_disjoint(sets):
     kept = filter_overlapping(CliqueSet(sort_cliques(set(sets)), 1), 0).cliques
@@ -213,3 +241,17 @@ def test_grow_matches_oracle(g, threshold, max_rounds, data):
             seed.add(v)
     assert grow_community_with_rounds(g, seed, threshold, max_rounds) == oracle_grow(
         g, seed, threshold, max_rounds)
+
+
+@settings(deadline=None)
+@given(
+    graphs_over(12),
+    st.sampled_from([3, 4]),
+    st.sampled_from([0, 0.5, 1]),
+    st.sampled_from([0.5, 0.7, 1]),
+    st.sampled_from([None, 1]),
+)
+def test_caa_matches_oracle(g, min_size, overlap, growing, max_rounds):
+    params = CaaParams(min_clique_size=min_size, overlapping_threshold=overlap,
+                       growing_threshold=growing, max_rounds=max_rounds)
+    assert run_caa(g, params) == oracle_caa(g, params)
