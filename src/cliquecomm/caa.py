@@ -39,7 +39,6 @@ class CaaParams:
 @dataclass
 class CaaRunSummary:
     seed_count: int = 0
-    community_count: int = 0
     rounds_histogram: dict = field(default_factory=dict)
 
 
@@ -120,7 +119,6 @@ def grow_seeds(
     cover = sort_cover((c for c, _ in grown), dedup=True)
     if summary is not None:
         summary.seed_count = len(grown)
-        summary.community_count = len(cover)
         hist = {}
         for _, rounds in grown:
             hist[rounds] = hist.get(rounds, 0) + 1

@@ -243,7 +243,7 @@ def cmd_sweep(args, outdir):
     growing = args.sweep == "growing"
     min_size = args.min_clique_size
     if min_size is None:
-        min_size = 3 if growing else 15
+        min_size = caa.CaaParams.min_clique_size if growing else 15
     if growing:
         # Built up front so that a bad grid value fails before any work.
         params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v)
@@ -310,6 +310,7 @@ def cmd_hashtag_report(args, outdir):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cliquecomm",
                      description="Clique-seeded community detection and evaluation")
+    default_bands = ",".join(map(metrics.band_label, metrics.DEFAULT_BANDS))
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--threads", type=int, default=1,
@@ -335,16 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("caa", parents=[common], help="clique augmentation detector")
     p.add_argument("graph", help="undirected edge-list file")
-    p.add_argument("--min-clique-size", type=int, default=3)
-    p.add_argument("--overlapping-threshold", type=float, default=0.0)
-    p.add_argument("--growing-threshold", type=float, default=0.7)
+    p.add_argument("--min-clique-size", type=int, default=caa.CaaParams.min_clique_size)
+    p.add_argument("--overlapping-threshold", type=float,
+                   default=caa.CaaParams.overlapping_threshold)
+    p.add_argument("--growing-threshold", type=float,
+                   default=caa.CaaParams.growing_threshold)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-cliques", type=int, default=caa.DEFAULT_CLIQUE_CAP)
     p.set_defaults(func=cmd_detect, detector=_detect_caa)
 
     p = sub.add_parser("lp", parents=[common], help="label propagation detector")
     p.add_argument("graph")
-    p.add_argument("--max-iterations", type=int, default=100)
+    p.add_argument("--max-iterations", type=int, default=baselines.LpParams.max_iterations)
     p.set_defaults(func=cmd_detect, detector=_detect_lp)
 
     p = sub.add_parser("cpm", parents=[common], help="clique percolation detector")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate one or more covers against a graph")
     p.add_argument("graph")
     p.add_argument("covers", nargs="+", help="cover files; label = file stem")
-    p.add_argument("--bands", default="1-3,4-9,10-150,151+")
+    p.add_argument("--bands", default=default_bands)
     p.add_argument("--coverage-lo", type=int, default=4)
     p.add_argument("--coverage-hi", type=int, default=150)
     p.set_defaults(func=cmd_metrics)
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated threshold values")
     p.add_argument("--min-clique-size", type=int, default=None,
                    help="clique floor (default 3 for growing, 15 for overlapping)")
-    p.add_argument("--bands", default="1-3,4-9,10-150,151+")
+    p.add_argument("--bands", default=default_bands)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("hashtag-report", parents=[common],

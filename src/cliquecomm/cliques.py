@@ -18,7 +18,6 @@ class CliqueSet:
     """Cliques sorted descending by size, ties lexicographic by member ids."""
 
     cliques: list  # list[frozenset[int]]
-    min_size: int
 
 
 def threshold_fraction(t) -> Fraction:
@@ -140,7 +139,7 @@ def enumerate_maximal_cliques(
                 p.remove(w)
                 x.add(w)
 
-    return CliqueSet(cliques=sort_cliques(out), min_size=min_size)
+    return CliqueSet(cliques=sort_cliques(out))
 
 
 def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
@@ -186,7 +185,7 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
         smallest = min(smallest, size)
         for v in c:
             by_node.setdefault(v, []).append(idx)
-    return CliqueSet(cliques=kept, min_size=cs.min_size)
+    return CliqueSet(cliques=kept)
 
 
 def is_clique(g: Graph, members) -> bool:

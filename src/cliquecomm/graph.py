@@ -8,11 +8,12 @@ sorting indices sorts ids.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
 
@@ -42,12 +43,14 @@ class Graph:
 
     ids: list
     adjacency: list
-    _index: dict = field(repr=False, default=None)
 
     def __post_init__(self):
         if any(map(operator.ge, self.ids, islice(self.ids, 1, None))):
             raise ValueError("graph ids must be strictly ascending")
-        object.__setattr__(self, "_index", dict(zip(self.ids, range(len(self.ids)))))
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def n(self) -> int:
@@ -80,21 +83,23 @@ def _add_pairs(sets, keys, values) -> None:
 
 
 def _unwritable_id(ids):
-    """An id of ids that save_edge_list could not write back, or None.
+    """The first id of ids that a written file could not hold, or None.
 
-    Such an id is empty, all whitespace, starts with '#' (written first on a
-    line it would read back as a blank or comment line), or holds a tab or a
-    line break. ids are distinct, so the rule runs once per node.
+    Such an id is empty, holds whitespace (cover files separate ids by any
+    whitespace, edge lists by tabs and line breaks), or starts with '#'
+    (both readers skip such a line as a comment).
     """
-    return next((v for v in ids if not v or v.isspace() or v[0] == "#"
-                 or "\t" in v or "\n" in v or "\r" in v), None)
+    return next((v for v in ids if v.split() != [v] or v[0] == "#"), None)
+
+
+def _bad_id_message(v) -> str:
+    return f"node id {v!r} is empty, holds whitespace or starts with '#'"
 
 
 def _check_ids(ids) -> None:
     bad = _unwritable_id(ids)
     if bad is not None:
-        raise ValueError(f"node id {bad!r} is empty, all whitespace, starts with "
-                         "'#' or holds a tab or line break")
+        raise ValueError(_bad_id_message(bad))
 
 
 def _intern(ids, *columns) -> list:
@@ -142,8 +147,8 @@ def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
 
     Symmetrizes, drops duplicate edges and self-loops (counted in the log),
     and assigns dense indices in lexicographic id order. Nodes listed in
-    extra_nodes are kept even when isolated. An id that save_edge_list could
-    not write back raises ValueError.
+    extra_nodes are kept even when isolated. An id that a written file could
+    not hold (see _unwritable_id) raises ValueError.
     """
     return _from_columns(*_intern_pairs(list(edge_pairs), extra_nodes))
 
@@ -152,8 +157,8 @@ def mutualize(d: DirectedEdgeList) -> Graph:
     """Keep only reciprocated directed edges; drop nodes left isolated.
 
     The undirected edge {a, b} survives iff both (a, b) and (b, a) appear
-    in the input. Self-loops never survive. An id that save_edge_list could
-    not write back raises ValueError, whether or not its edges survive.
+    in the input. Self-loops never survive. An id that a written file could
+    not hold raises ValueError, whether or not its edges survive.
     """
     ids, src, dst = _intern_pairs(d.edges)
     out = [set() for _ in ids]
@@ -174,11 +179,10 @@ def load_edge_list(path, directed: bool = False):
     """Read a tab-separated edge-list file.
 
     Lines starting with '#' are comments; all-whitespace lines are skipped.
-    A node id that is all whitespace or starts with '#' raises
-    EdgeListParseError, since written back it could read as a comment or a
-    blank line. With directed=True the raw DirectedEdgeList is returned;
-    otherwise an undirected Graph is built directly (symmetrized,
-    deduplicated, self-loops dropped).
+    A node id that a written file could not hold (see _unwritable_id)
+    raises EdgeListParseError. With directed=True the raw DirectedEdgeList
+    is returned; otherwise an undirected Graph is built directly
+    (symmetrized, deduplicated, self-loops dropped).
 
     A file whose every line is two writable ids around one tab is cut into
     its two id columns at once. Any other file goes through the line loop,
@@ -188,7 +192,8 @@ def load_edge_list(path, directed: bool = False):
         text = fh.read()
     tabs = text.count("\t")
     # Text mode has already mapped "\r\n" and "\r" to "\n". Split on "\n"
-    # alone: ids may hold "\x0b", "\x85" or "\u2028", where splitlines cuts.
+    # alone, as a text file's lines do: splitlines also cuts at "\x0b",
+    # "\x85" and "\u2028", which would shift the line numbers of errors.
     lines = text.split("\n")
     del text  # each stage drops what it has used, to keep peak memory low
     if lines[-1] == "":
@@ -224,11 +229,9 @@ def _parse_lines(path, lines) -> list:
             raise EdgeListParseError(
                 path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
             )
-        a, b = parts
-        if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
-            raise EdgeListParseError(
-                path, lineno, "node id is empty, all whitespace or starts with '#'"
-            )
+        bad = _unwritable_id(parts)
+        if bad is not None:
+            raise EdgeListParseError(path, lineno, _bad_id_message(bad))
         fields += parts
     return fields
 

@@ -8,7 +8,7 @@ community shares a theme; they are not standard metrics.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import EdgeListParseError
 from .graph import Graph
@@ -85,15 +85,7 @@ class ThemeEntry:
     members_missing_data: int
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "member_ids": self.member_ids,
-            "top_tags": [[t, c] for t, c in self.top_tags],
-            "mean_pairwise_jaccard": self.mean_pairwise_jaccard,
-            "top_tag_penetration": self.top_tag_penetration,
-            "members_with_data": self.members_with_data,
-            "members_missing_data": self.members_missing_data,
-        }
+        return asdict(self)
 
 
 def community_theme(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graph import Graph, check_members
 
@@ -142,18 +142,7 @@ class MetricsReport:
     per_community: list = field(default_factory=list)  # (size, tpr, eq_contribution)
 
     def to_dict(self) -> dict:
-        return {
-            "community_count": self.community_count,
-            "largest_community_size": self.largest_community_size,
-            "histogram": self.histogram,
-            "histogram_pct": self.histogram_pct,
-            "coverage": self.coverage,
-            "eq_total": self.eq_total,
-            "eq_by_band": self.eq_by_band,
-            "tpr_mean_by_band": self.tpr_mean_by_band,
-            "tpr_micro_by_band": self.tpr_micro_by_band,
-            "per_community": [list(row) for row in self.per_community],
-        }
+        return asdict(self)
 
 
 def evaluate(

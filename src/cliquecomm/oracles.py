@@ -195,12 +195,13 @@ def oracle_load_edge_list(path, directed=False):
                 raise EdgeListParseError(
                     path, lineno, f"expected 2 tab-separated fields, got {len(parts)}"
                 )
-            a, b = parts
-            if not a or not b or a.isspace() or b.isspace() or b[0] == "#":
-                raise EdgeListParseError(
-                    path, lineno, "node id is empty, all whitespace or starts with '#'"
-                )
-            edges.append((a, b))
+            for v in parts:
+                if not v or v.startswith("#") or any(ch.isspace() for ch in v):
+                    raise EdgeListParseError(
+                        path, lineno,
+                        f"node id {v!r} is empty, holds whitespace or starts with '#'",
+                    )
+            edges.append(tuple(parts))
     if directed:
         return DirectedEdgeList(edges=edges)
     return oracle_build_graph(edges)

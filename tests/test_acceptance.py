@@ -49,13 +49,9 @@ def test_criterion_02_overlap_filter_worked_example():
     big = frozenset(range(10))
     keep_candidate = frozenset({0, 1, 10, 11, 12})  # overlap 2 < 3.5
     drop_candidate = frozenset({0, 1, 2, 3, 12})  # overlap 4 > 3.5
-    kept = filter_overlapping(
-        CliqueSet(cliques=[big, keep_candidate], min_size=1), 0.7
-    ).cliques
+    kept = filter_overlapping(CliqueSet(cliques=[big, keep_candidate]), 0.7).cliques
     assert kept == [big, keep_candidate]
-    kept = filter_overlapping(
-        CliqueSet(cliques=[big, drop_candidate], min_size=1), 0.7
-    ).cliques
+    kept = filter_overlapping(CliqueSet(cliques=[big, drop_candidate]), 0.7).cliques
     assert kept == [big]
     report(2, "sizes 10/5 at threshold 0.7: overlap 2 kept, overlap 4 discarded")
 

@@ -169,6 +169,15 @@ class TestDetectors:
         assert sorted(outputs[0]) == ["caa_cover.txt", "metrics.csv", "metrics.json"]
         assert outputs[0] == outputs[1]
 
+    def test_id_with_space_exit_2(self, tmp_path, capsys):
+        # In a cover file the community {a b, c, d} would read back as
+        # {a, b, c, d}, so the id "a b" is refused where it is read.
+        f = tmp_path / "g.tsv"
+        f.write_text("a b\tc\nc\td\nd\ta b\na\tx\nb\tx\n")
+        assert run(["caa", f, "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {f}:1: node id 'a b' ")
+        assert not (tmp_path / "caa_cover.txt").exists()
+
     def test_resource_cap_exit_3(self, small_graph_file, tmp_path):
         assert run([
             "caa", small_graph_file, "--max-cliques", 1, "--output-dir", tmp_path,

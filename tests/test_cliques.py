@@ -37,8 +37,7 @@ class TestEnumerate:
     def test_min_size_filters_output_only(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         cs = enumerate_maximal_cliques(g, 3)
-        assert len(cs.cliques) == 1
-        assert cs.min_size == 3
+        assert cs.cliques == [frozenset(map(g.index_of, "abc"))]
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("seed", range(10))
@@ -75,7 +74,7 @@ class TestFilterOverlapping:
         assert [len(c) for c in cliques] == sorted(
             (len(c) for c in cliques), reverse=True
         )
-        return CliqueSet(cliques=cliques, min_size=1)
+        return CliqueSet(cliques=cliques)
 
     def test_worked_example_keep(self):
         # incumbent size 10, candidate size 5, overlap 2: 2 < 5*0.7 keeps
@@ -135,7 +134,7 @@ class TestFilterOverlapping:
         # pair (5 of 6 members), not by the last kept size (3 of 6), and
         # must reach 30 or 31 to see the pair.
         a, b, c = frozenset({30, 31}), frozenset(range(10, 16)), frozenset({2, 3, 4, 5, 30, 31})
-        kept = filter_overlapping(CliqueSet(cliques=[a, b, c], min_size=1), 0.5).cliques
+        kept = filter_overlapping(CliqueSet(cliques=[a, b, c]), 0.5).cliques
         assert kept == [a, b] == oracle_filter_overlapping([a, b, c], 0.5)
 
     def test_matching_cores_match_oracle(self):
