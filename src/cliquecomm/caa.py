@@ -116,7 +116,7 @@ def grow_seeds(
         for seed in seeds
     ]
 
-    cover = sort_cover((c for c, _ in grown), dedup=True)
+    cover = sort_cover({c for c, _ in grown})
     if summary is not None:
         summary.seed_count = len(grown)
         hist = {}

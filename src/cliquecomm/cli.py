@@ -40,6 +40,7 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 ALARM_REARM_SECS = 0.05  # retry interval for a lost wall-clock alarm
+OVERLAP_SWEEP_MIN_SIZE = 15  # the overlapping sweep's default clique floor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +205,7 @@ def cmd_metrics(args, outdir):
 
     json_out = outdir / "metrics.json"
     json_out.write_text(json.dumps(
-        {label: r.to_dict() for label, r in reports.items()},
+        {label: vars(r) for label, r in reports.items()},
         indent=2, sort_keys=True,
     ) + "\n")
 
@@ -243,7 +244,7 @@ def cmd_sweep(args, outdir):
     growing = args.sweep == "growing"
     min_size = args.min_clique_size
     if min_size is None:
-        min_size = caa.CaaParams.min_clique_size if growing else 15
+        min_size = caa.CaaParams.min_clique_size if growing else OVERLAP_SWEEP_MIN_SIZE
     if growing:
         # Built up front so that a bad grid value fails before any work.
         params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v)
@@ -286,7 +287,7 @@ def cmd_hashtag_report(args, outdir):
 
     json_out = outdir / "hashtag_report.json"
     json_out.write_text(json.dumps(
-        [e.to_dict() for e in entries], indent=2, sort_keys=True,
+        [vars(e) for e in entries], indent=2, sort_keys=True,
     ) + "\n")
 
     text_out = outdir / "hashtag_report.txt"
@@ -360,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("covers", nargs="+", help="cover files; label = file stem")
     p.add_argument("--bands", default=default_bands)
-    p.add_argument("--coverage-lo", type=int, default=4)
-    p.add_argument("--coverage-hi", type=int, default=150)
+    p.add_argument("--coverage-lo", type=int, default=metrics.COVERAGE_RANGE[0])
+    p.add_argument("--coverage-hi", type=int, default=metrics.COVERAGE_RANGE[1])
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("growing", "overlapping"), required=True)
     p.add_argument("--grid", required=True, help="comma-separated threshold values")
     p.add_argument("--min-clique-size", type=int, default=None,
-                   help="clique floor (default 3 for growing, 15 for overlapping)")
+                   help=f"clique floor (default {caa.CaaParams.min_clique_size} for "
+                   f"growing, {OVERLAP_SWEEP_MIN_SIZE} for overlapping)")
     p.add_argument("--bands", default=default_bands)
     p.set_defaults(func=cmd_sweep)
 

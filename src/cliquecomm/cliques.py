@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import ResourceLimitError
-from .graph import Graph
+from .graph import Graph, sort_cover
 
 DEFAULT_CLIQUE_CAP = 10_000_000
 
@@ -35,14 +35,8 @@ def threshold_fraction(t) -> Fraction:
 
 
 def sort_cliques(cliques) -> list:
-    """Cliques in canonical_key order: descending size, then member ids.
-
-    Two stable passes, members then size, give that order without a
-    (-len, list) key per clique.
-    """
-    out = sorted(cliques, key=sorted)
-    out.sort(key=len, reverse=True)
-    return out
+    """Cliques in sort_cover order: descending size, then member ids."""
+    return sort_cover(cliques)
 
 
 def degeneracy_order(g: Graph) -> list:

@@ -269,23 +269,12 @@ def induced_subgraph(g: Graph, c: Community) -> Graph:
 # ---------------------------------------------------------------------------
 # Cover file I/O: one community per line, space-separated external ids.
 
-def canonical_key(c):
-    """Descending size, then sorted members: lexicographic member ids."""
-    return -len(c), sorted(c)
-
-
-def sort_cover(cover: Iterable, dedup: bool = False) -> Cover:
-    """Canonical cover order (canonical_key), optionally without duplicates."""
-    seen = set()
-    out = []
-    for c in cover:
-        c = frozenset(c)
-        if dedup:
-            if c in seen:
-                continue
-            seen.add(c)
-        out.append(c)
-    out.sort(key=canonical_key)
+def sort_cover(cover: Iterable) -> Cover:
+    """The canonical order of every written cover: descending size, then
+    sorted members, by two stable passes (members, then size). Duplicates
+    are kept; pass a set to drop them."""
+    out = sorted(map(frozenset, cover), key=sorted)
+    out.sort(key=len, reverse=True)
     return out
 
 
@@ -401,12 +390,10 @@ def _sample_indices(total: int, p: float, rng) -> Iterable:
 
 def _index_to_pair(idx: int, n: int):
     """Invert the row-major linearization of pairs (i, j), i < j, over n nodes."""
+    # Counted from the last pair, rows n-2, n-3, ... hold 1, 2, ... pairs, so
+    # row n-2-k starts at r = k(k+1)/2: k is the largest with k(k+1)/2 <= r.
+    r = n * (n - 1) // 2 - 1 - idx
+    i = n - 2 - (math.isqrt(8 * r + 1) - 1) // 2
     # Pairs with first element < i occupy i*n - i*(i+1)/2 slots.
-    i = int(n - 0.5 - math.sqrt((n - 0.5) ** 2 - 2 * idx))
-    # Float sqrt can land one row off near boundaries; correct exactly.
-    while i * n - i * (i + 1) // 2 > idx:
-        i -= 1
-    while (i + 1) * n - (i + 1) * (i + 2) // 2 <= idx:
-        i += 1
     j = idx - (i * n - i * (i + 1) // 2) + i + 1
     return i, j

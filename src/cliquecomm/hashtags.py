@@ -8,7 +8,7 @@ community shares a theme; they are not standard metrics.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import EdgeListParseError
 from .graph import Graph
@@ -83,9 +83,6 @@ class ThemeEntry:
     top_tag_penetration: float | None
     members_with_data: int
     members_missing_data: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def community_theme(

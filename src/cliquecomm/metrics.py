@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .graph import Graph, check_members
 
 # Half-open at infinity only; each band is (lo, hi) inclusive, hi=None for open.
 DEFAULT_BANDS = ((1, 3), (4, 9), (10, 150), (151, None))
+# Community sizes (lo, hi), inclusive, whose members count as covered.
+COVERAGE_RANGE = (4, 150)
 
 
 def validate_bands(bands) -> tuple:
@@ -47,7 +49,7 @@ def size_histogram(cover, bands=DEFAULT_BANDS):
     return counts, pct
 
 
-def desirable_coverage(g: Graph, cover, lo: int = 4, hi: int = 150) -> float:
+def desirable_coverage(g: Graph, cover, lo=COVERAGE_RANGE[0], hi=COVERAGE_RANGE[1]) -> float:
     """Fraction of all graph nodes in at least one community of size [lo, hi]."""
     if lo > hi:
         raise ValueError(f"lo must be <= hi, got [{lo}, {hi}]")
@@ -141,16 +143,13 @@ class MetricsReport:
     tpr_micro_by_band: dict
     per_community: list = field(default_factory=list)  # (size, tpr, eq_contribution)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(
     g: Graph,
     cover,
     bands=DEFAULT_BANDS,
-    coverage_lo: int = 4,
-    coverage_hi: int = 150,
+    coverage_lo: int = COVERAGE_RANGE[0],
+    coverage_hi: int = COVERAGE_RANGE[1],
 ) -> MetricsReport:
     """Assemble the full per-cover report."""
     bands = validate_bands(bands)

@@ -10,11 +10,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import EdgeListParseError
-from .graph import DirectedEdgeList, Graph, sort_cover
+from .graph import DirectedEdgeList, Graph
 
 MAX_CLIQUE_ORACLE_N = 12
 MAX_CPM_ORACLE_N = 10
 MAX_MODULARITY_ORACLE_N = 30
+
+
+def canonical_key(c):
+    """The reference key of the canonical cover order: descending size,
+    then sorted members (lexicographic member ids)."""
+    return -len(c), sorted(c)
 
 
 def oracle_maximal_cliques(g: Graph):
@@ -78,6 +84,22 @@ def oracle_modularity(g: Graph, partition) -> float:
     return q / (2.0 * m)
 
 
+def oracle_desirable_coverage(g: Graph, cover, lo: int, hi: int) -> float:
+    """Share of all nodes that lie in some community of size in [lo, hi],
+    each node checked against every community."""
+    covered = [v for v in range(g.n) if any(v in c and lo <= len(c) <= hi for c in cover)]
+    return len(covered) / g.n if g.n else 0.0
+
+
+def oracle_tpr(g: Graph, c) -> float:
+    """Share of c's members in a triangle inside c, from every member triple."""
+    in_triangle = set()
+    for triple in combinations(sorted(c), 3):
+        if all(g.has_edge(a, b) for a, b in combinations(triple, 2)):
+            in_triangle.update(triple)
+    return len(in_triangle) / len(c)
+
+
 def oracle_cpm(g: Graph, k: int):
     """CPM from an explicit k-clique list and its adjacency graph. n <= 10.
 
@@ -104,7 +126,7 @@ def oracle_cpm(g: Graph, k: int):
                     unvisited.remove(j)
                     stack.append(j)
         covers.append(frozenset(nodes))
-    return sort_cover(covers)
+    return sorted(covers, key=canonical_key)
 
 
 def oracle_grow(g: Graph, seed, t, max_rounds=None):
@@ -138,12 +160,9 @@ def oracle_caa(g: Graph, params):
     kept seed grows under params' growth rule, and the distinct
     communities come back in the same order.
     """
-    def canonical(c):
-        return -len(c), sorted(c)
-
     cliques = sorted(
         (c for c in oracle_maximal_cliques(g) if len(c) >= params.min_clique_size),
-        key=canonical,
+        key=canonical_key,
     )
     seeds = oracle_filter_overlapping(cliques, params.overlapping_threshold)
     grown = []
@@ -152,7 +171,7 @@ def oracle_caa(g: Graph, params):
             g, seed, params.growing_threshold, params.max_rounds)
         if community not in grown:
             grown.append(community)
-    return sorted(grown, key=canonical)
+    return sorted(grown, key=canonical_key)
 
 
 def oracle_build_graph(edge_pairs, extra_nodes=()) -> Graph:

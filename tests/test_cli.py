@@ -202,7 +202,7 @@ class TestMetricsCommand:
             "metrics", small_graph_file, cover_file, "--output-dir", tmp_path,
         ]) == 0
         report = json.loads((tmp_path / "metrics.json").read_text())
-        expected = metrics.evaluate(g, cover).to_dict()
+        expected = vars(metrics.evaluate(g, cover))
         assert report["mycover"] == json.loads(json.dumps(expected))
 
     def test_two_covers_two_label_groups(self, small_graph_file, tmp_path):

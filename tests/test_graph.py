@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -272,6 +273,11 @@ class TestPlantedPartition:
         with pytest.raises(ValueError):
             planted_partition(2, 5, 1.5, 0.0, 0)
 
+    def test_index_to_pair_inverts_every_index(self):
+        for n in range(2, 41):
+            pairs = list(combinations(range(n), 2))
+            assert [graph_module._index_to_pair(k, n) for k in range(len(pairs))] == pairs
+
     def test_edge_rate_sane(self):
         g = planted_partition(3, 40, 0.5, 0.02, 13)
         intra_pairs = 3 * 40 * 39 // 2
@@ -311,5 +317,5 @@ class TestCoverIO:
 
     def test_dedup(self):
         g = complete_graph(4)
-        cover = sort_cover([frozenset({0, 1}), frozenset({1, 0})], dedup=True)
+        cover = sort_cover({frozenset({0, 1}), frozenset({1, 0})})
         assert len(cover) == 1

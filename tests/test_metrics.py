@@ -231,4 +231,4 @@ class TestEvaluate:
         cover = sort_cover(random_partition(g.n, 4, 1))
         f = tmp_path / "cover.txt"
         save_cover(g, cover, f)
-        assert evaluate(g, load_cover(g, f)).to_dict() == evaluate(g, cover).to_dict()
+        assert evaluate(g, load_cover(g, f)) == evaluate(g, cover)

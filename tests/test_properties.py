@@ -1,6 +1,6 @@
 """Hypothesis properties of edge-list ingest, file round trips, clique
 enumeration and order, the overlap filter, growth, the CAA pipeline, clique
-percolation and covers.
+percolation, covers, and the coverage and TPR of evaluate.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -30,21 +30,24 @@ from cliquecomm.cliques import (
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import (
     build_graph,
-    canonical_key,
     load_cover,
     load_edge_list,
     mutualize,
     save_cover,
     save_edge_list,
 )
+from cliquecomm.metrics import evaluate
 from cliquecomm.oracles import (
+    canonical_key,
     oracle_caa,
     oracle_cpm,
+    oracle_desirable_coverage,
     oracle_filter_overlapping,
     oracle_grow,
     oracle_load_edge_list,
     oracle_maximal_cliques,
     oracle_mutualize,
+    oracle_tpr,
 )
 
 pytest.importorskip("hypothesis")
@@ -262,3 +265,18 @@ def test_caa_matches_oracle(g, min_size, overlap, growing, max_rounds):
     params = CaaParams(min_clique_size=min_size, overlapping_threshold=overlap,
                        growing_threshold=growing, max_rounds=max_rounds)
     assert run_caa(g, params) == oracle_caa(g, params)
+
+
+# Overlapping covers of non-empty communities; a drawn size range makes
+# both counted and uncounted communities common.
+@settings(deadline=None)
+@given(graphs_over(12), st.data())
+def test_coverage_and_tpr_match_oracles(g, data):
+    assume(g.m)
+    member = st.integers(0, g.n - 1)
+    cover = data.draw(st.lists(st.frozensets(member, min_size=1), max_size=6))
+    lo = data.draw(st.integers(1, 12))
+    hi = data.draw(st.integers(lo, 12))
+    report = evaluate(g, cover, coverage_lo=lo, coverage_hi=hi)
+    assert report.coverage == oracle_desirable_coverage(g, cover, lo, hi)
+    assert [tpr for _, tpr, _ in report.per_community] == [oracle_tpr(g, c) for c in cover]
