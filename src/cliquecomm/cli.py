@@ -62,6 +62,19 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _write_manifest(args, outdir, inputs, outputs, started, extra=None):
     manifest = {
         "subcommand": args.command,
@@ -76,8 +89,7 @@ def _write_manifest(args, outdir, inputs, outputs, started, extra=None):
     }
     if extra:
         manifest.update(extra)
-    path = outdir / f"manifest_{args.command.replace('-', '_')}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(outdir / f"manifest_{args.command.replace('-', '_')}.json", manifest)
 
 
 @contextlib.contextmanager
@@ -113,20 +125,21 @@ def _wall_clock_budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _parse_bands(text: str):
-    bands = []
-    for part in text.split(","):
-        part = part.strip()
-        if part.endswith("+"):
-            bands.append((int(part[:-1]), None))
-        else:
-            lo, hi = part.split("-")
-            bands.append((int(lo), int(hi)))
-    return metrics.validate_bands(bands)
-
-
 def _parse_grid(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
+    grid = [float(x) for x in text.split(",") if x.strip()]
+    if not grid:
+        raise ValueError(f"--grid has no values: {text!r}")
+    return grid
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +202,18 @@ def cmd_detect(args, outdir):
 
 
 def cmd_metrics(args, outdir):
-    g = load_edge_list(args.graph)
-    bands = _parse_bands(args.bands)
-
-    reports = {}
+    paths = {}  # label -> cover path; a report is keyed by its cover's label
     for cover_path in args.covers:
         label = Path(cover_path).stem
+        if label in paths:
+            raise ValueError(f"covers {paths[label]} and {cover_path} "
+                             f"share the label {label!r}")
+        paths[label] = cover_path
+    g = load_edge_list(args.graph)
+    bands = metrics.parse_bands(args.bands)
+
+    reports = {}
+    for label, cover_path in paths.items():
         cover = load_cover(g, cover_path)
         if cover and not g.m:
             raise InputError(f"{cover_path}: extended modularity is undefined "
@@ -203,29 +222,21 @@ def cmd_metrics(args, outdir):
             g, cover, bands, args.coverage_lo, args.coverage_hi
         )
 
-    json_out = outdir / "metrics.json"
-    json_out.write_text(json.dumps(
-        {label: vars(r) for label, r in reports.items()},
-        indent=2, sort_keys=True,
-    ) + "\n")
-
-    csv_out = outdir / "metrics.csv"
-    with open(csv_out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "algorithm_label", "band", "count", "percentage",
-            "eq_contribution", "tpr_mean", "tpr_micro",
-        ])
-        for label, r in reports.items():
-            for band in bands:
-                bl = metrics.band_label(band)
-                writer.writerow([
-                    label, bl, r.histogram[bl],
-                    f"{r.histogram_pct[bl]:.4f}",
-                    repr(r.eq_by_band[bl]),
-                    "" if r.tpr_mean_by_band[bl] is None else repr(r.tpr_mean_by_band[bl]),
-                    "" if r.tpr_micro_by_band[bl] is None else repr(r.tpr_micro_by_band[bl]),
-                ])
+    json_out = _write_json(outdir / "metrics.json",
+                           {label: vars(r) for label, r in reports.items()})
+    csv_out = _write_csv(outdir / "metrics.csv", [
+        "algorithm_label", "band", "count", "percentage",
+        "eq_contribution", "tpr_mean", "tpr_micro",
+    ], [
+        [
+            label, bl, count,
+            f"{r.histogram_pct[bl]:.4f}",
+            repr(r.eq_by_band[bl]),
+            "" if r.tpr_mean_by_band[bl] is None else repr(r.tpr_mean_by_band[bl]),
+            "" if r.tpr_micro_by_band[bl] is None else repr(r.tpr_micro_by_band[bl]),
+        ]
+        for label, r in reports.items() for bl, count in r.histogram.items()
+    ])
 
     header = f"{'algorithm':<20} {'communities':>11} {'largest':>8} {'coverage':>9} {'EQ':>9}"
     print(header)
@@ -240,7 +251,7 @@ def cmd_metrics(args, outdir):
 def cmd_sweep(args, outdir):
     g = load_edge_list(args.graph)
     grid = _parse_grid(args.grid)
-    bands = _parse_bands(args.bands)
+    bands = metrics.parse_bands(args.bands)
     growing = args.sweep == "growing"
     min_size = args.min_clique_size
     if min_size is None:
@@ -258,17 +269,13 @@ def cmd_sweep(args, outdir):
         rows = []
         for value, p in zip(grid, params):
             counts, _ = metrics.size_histogram(caa.grow_seeds(g, seeds, p), bands)
-            rows += [[value, bl, counts[bl]] for bl in map(metrics.band_label, bands)]
+            rows += [[value, bl, count] for bl, count in counts.items()]
     else:
         # Kept-clique count per overlap threshold over large seed cliques.
         header = ["overlapping_threshold", "kept_cliques"]
         rows = [[v, len(filter_overlapping(cliques, v).cliques)] for v in grid]
 
-    out = outdir / f"sweep_{args.sweep}.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    out = _write_csv(outdir / f"sweep_{args.sweep}.csv", header, rows)
     print(f"sweep: wrote {out}")
     return [args.graph], [out], None
 
@@ -285,10 +292,7 @@ def cmd_hashtag_report(args, outdir):
         for c in sample
     ]
 
-    json_out = outdir / "hashtag_report.json"
-    json_out.write_text(json.dumps(
-        [vars(e) for e in entries], indent=2, sort_keys=True,
-    ) + "\n")
+    json_out = _write_json(outdir / "hashtag_report.json", [vars(e) for e in entries])
 
     text_out = outdir / "hashtag_report.txt"
     with open(text_out, "w", encoding="utf-8") as fh:
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growing-threshold", type=float,
                    default=caa.CaaParams.growing_threshold)
     p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--max-cliques", type=int, default=caa.DEFAULT_CLIQUE_CAP)
+    p.add_argument("--max-cliques", type=_positive_int, default=caa.DEFAULT_CLIQUE_CAP)
     p.set_defaults(func=cmd_detect, detector=_detect_caa)
 
     p = sub.add_parser("lp", parents=[common], help="label propagation detector")
@@ -383,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hashtags")
     p.add_argument("--size-lo", type=int, default=10)
     p.add_argument("--size-hi", type=int, default=150)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--user-top-k", type=int, default=10)
-    p.add_argument("--community-top-k", type=int, default=20)
+    p.add_argument("--count", type=_positive_int, default=50)
+    p.add_argument("--user-top-k", type=_positive_int, default=hashtags.USER_TOP_K)
+    p.add_argument("--community-top-k", type=_positive_int,
+                   default=hashtags.COMMUNITY_TOP_K)
     p.add_argument("--preserve-case", action="store_true",
                    help="keep hashtag case instead of folding it")
     p.set_defaults(func=cmd_hashtag_report)

@@ -14,6 +14,8 @@ from .errors import EdgeListParseError
 from .graph import Graph
 
 HashtagTable = dict  # external-node-id -> {normalized tag -> count}
+USER_TOP_K = 10  # tags per member in the pairwise Jaccard
+COMMUNITY_TOP_K = 20  # aggregate tags reported per community
 
 
 def normalize_tag(tag: str, preserve_case: bool = False) -> str:
@@ -59,13 +61,16 @@ def load_hashtags(path, preserve_case: bool = False) -> HashtagTable:
     return table
 
 
-def user_top_k(table: HashtagTable, user: str, k: int = 10) -> list:
+def _ranked(counts: dict) -> list:
+    """(tag, count) pairs by descending count, ties broken lexicographically."""
+    return sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
+
+
+def user_top_k(table: HashtagTable, user: str, k: int = USER_TOP_K) -> list:
     """Top-k (tag, count) for one user, ties broken lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    tags = table.get(user, {})
-    ranked = sorted(tags.items(), key=lambda tc: (-tc[1], tc[0]))
-    return ranked[:k]
+    return _ranked(table.get(user, {}))[:k]
 
 
 def jaccard(a: set, b: set) -> float:
@@ -89,14 +94,16 @@ def community_theme(
     g: Graph,
     c,
     table: HashtagTable,
-    k: int = 10,
-    top_k_community: int = 20,
+    k: int = USER_TOP_K,
+    top_k_community: int = COMMUNITY_TOP_K,
 ) -> ThemeEntry:
     """Aggregate member hashtag counts and score theme concentration.
 
     Jaccard pairs and penetration are computed over members with hashtag
     data only; the missing-data count is reported alongside.
     """
+    if top_k_community < 1:
+        raise ValueError("top_k_community must be >= 1")
     member_ids = [g.ids[v] for v in sorted(c)]
     aggregate = {}
     top_sets = []
@@ -110,8 +117,7 @@ def community_theme(
             aggregate[tag] = aggregate.get(tag, 0) + count
         top_sets.append({tag for tag, _ in user_top_k(table, uid, k)})
 
-    top_tags = sorted(aggregate.items(), key=lambda tc: (-tc[1], tc[0]))
-    top_tags = top_tags[:top_k_community]
+    top_tags = _ranked(aggregate)[:top_k_community]
 
     if len(top_sets) >= 2:
         total = 0.0

@@ -28,6 +28,18 @@ def band_label(band) -> str:
     return f"{lo}+" if hi is None else f"{lo}-{hi}"
 
 
+def parse_bands(text: str) -> tuple:
+    """Validated bands from comma-separated labels, the inverse of band_label."""
+    bands = []
+    for part in map(str.strip, text.split(",")):
+        try:
+            lo, hi = (part[:-1], None) if part.endswith("+") else part.split("-")
+            bands.append((int(lo), None if hi is None else int(hi)))
+        except ValueError:
+            raise ValueError(f"malformed band {part!r}: expected LO-HI or LO+") from None
+    return validate_bands(bands)
+
+
 def band_of(size: int, bands) -> tuple:
     for lo, hi in bands:
         if size >= lo and (hi is None or size <= hi):
@@ -35,12 +47,26 @@ def band_of(size: int, bands) -> tuple:
     raise ValueError(f"no band for size {size}")
 
 
+def _labels(cover, bands) -> list:
+    return [band_label(band_of(len(c), bands)) for c in cover]
+
+
+def _band_sums(labels, values, bands, zero=0) -> dict:
+    """Per-band sums of values, every band present, added in cover order."""
+    sums = {band_label(b): zero for b in bands}
+    for label, value in zip(labels, values):
+        sums[label] += value
+    return sums
+
+
+def _band_ratios(num: dict, den: dict) -> dict:
+    return {label: (num[label] / d if d else None) for label, d in den.items()}
+
+
 def size_histogram(cover, bands=DEFAULT_BANDS):
     """Community counts per size band, plus the percentage form."""
     bands = validate_bands(bands)
-    counts = {band_label(b): 0 for b in bands}
-    for c in cover:
-        counts[band_label(band_of(len(c), bands))] += 1
+    counts = _band_sums(_labels(cover, bands), [1] * len(cover), bands)
     total = len(cover)
     pct = {
         label: (100.0 * cnt / total if total else 0.0)
@@ -61,16 +87,6 @@ def desirable_coverage(g: Graph, cover, lo=COVERAGE_RANGE[0], hi=COVERAGE_RANGE[
     return len(covered) / g.n if g.n else 0.0
 
 
-def community_memberships(g: Graph, cover):
-    """memberships[v] = number of cover communities containing v."""
-    memberships = [0] * g.n
-    for c in cover:
-        check_members(g, c)
-        for v in c:
-            memberships[v] += 1
-    return memberships
-
-
 def extended_modularity(g: Graph, cover, bands=DEFAULT_BANDS):
     """Overlap-aware modularity with per-community and per-band contributions.
 
@@ -78,18 +94,21 @@ def extended_modularity(g: Graph, cover, bands=DEFAULT_BANDS):
     (v, w), (A_vw - k_v*k_w/2m) / (O_v*O_w), divided by 2m; O_v counts the
     communities of v across the whole cover, degrees and m come from the
     whole graph. With a disjoint cover this reduces to classical modularity.
+    An empty cover scores 0.0 on any graph.
     """
     bands = validate_bands(bands)
-    m = g.m
-    if m == 0:
+    two_m = 2.0 * g.m
+    if cover and not two_m:
         raise ValueError("extended modularity is undefined on an edgeless graph")
-    two_m = 2.0 * m
-    memberships = community_memberships(g, cover)
+    memberships = [0] * g.n  # O_v: how many communities contain v
+    for c in cover:
+        check_members(g, c)
+        for v in c:
+            memberships[v] += 1
 
     adjacency = g.adjacency
     inverse = [1.0 / k if k else 0.0 for k in memberships]  # 1 / O_v
     per_community = []
-    eq_by_band = {band_label(b): 0.0 for b in bands}
     for c in cover:
         # fsum rounds once, so no sum depends on set iteration order.
         # deg_term sums k_v / O_v over members; squared it gives the pair sum.
@@ -97,11 +116,9 @@ def extended_modularity(g: Graph, cover, bands=DEFAULT_BANDS):
         adj_term = math.fsum([
             inverse[v] * math.fsum(map(inverse.__getitem__, adjacency[v] & c)) for v in c
         ])
-        contribution = (adj_term - deg_term * deg_term / two_m) / two_m
-        per_community.append(contribution)
-        eq_by_band[band_label(band_of(len(c), bands))] += contribution
-    eq_total = sum(per_community)
-    return eq_total, eq_by_band, per_community
+        per_community.append((adj_term - deg_term * deg_term / two_m) / two_m)
+    eq_by_band = _band_sums(_labels(cover, bands), per_community, bands, 0.0)
+    return sum(per_community, 0.0), eq_by_band, per_community
 
 
 def triangle_participants(g: Graph, c) -> set:
@@ -154,43 +171,24 @@ def evaluate(
     """Assemble the full per-cover report."""
     bands = validate_bands(bands)
     counts, pct = size_histogram(cover, bands)
-    if cover:
-        eq_total, eq_by_band, contributions = extended_modularity(g, cover, bands)
-    else:
-        eq_total = 0.0
-        eq_by_band = {band_label(b): 0.0 for b in bands}
-        contributions = []
+    eq_total, eq_by_band, contributions = extended_modularity(g, cover, bands)
 
-    per_community = []
-    tpr_sums = {band_label(b): 0.0 for b in bands}
-    tpr_nodes = {band_label(b): 0 for b in bands}
-    tpr_participants = {band_label(b): 0 for b in bands}
-    for c, eq_c in zip(cover, contributions):
-        label = band_label(band_of(len(c), bands))
-        participants = triangle_participants(g, c)
-        tpr = len(participants) / len(c)
-        per_community.append((len(c), tpr, eq_c))
-        tpr_sums[label] += tpr
-        tpr_nodes[label] += len(c)
-        tpr_participants[label] += len(participants)
-
-    tpr_mean = {
-        label: (tpr_sums[label] / counts[label] if counts[label] else None)
-        for label in tpr_sums
-    }
-    tpr_micro = {
-        label: (tpr_participants[label] / tpr_nodes[label] if tpr_nodes[label] else None)
-        for label in tpr_nodes
-    }
+    labels = _labels(cover, bands)
+    sizes = [len(c) for c in cover]
+    participants = [len(triangle_participants(g, c)) for c in cover]
+    tprs = [p / size for p, size in zip(participants, sizes)]
+    tpr_sums = _band_sums(labels, tprs, bands, 0.0)
+    tpr_nodes = _band_sums(labels, sizes, bands)
+    tpr_participants = _band_sums(labels, participants, bands)
     return MetricsReport(
         community_count=len(cover),
-        largest_community_size=max((len(c) for c in cover), default=0),
+        largest_community_size=max(sizes, default=0),
         histogram=counts,
         histogram_pct=pct,
         coverage=desirable_coverage(g, cover, coverage_lo, coverage_hi),
         eq_total=eq_total,
         eq_by_band=eq_by_band,
-        tpr_mean_by_band=tpr_mean,
-        tpr_micro_by_band=tpr_micro,
-        per_community=per_community,
+        tpr_mean_by_band=_band_ratios(tpr_sums, counts),
+        tpr_micro_by_band=_band_ratios(tpr_participants, tpr_nodes),
+        per_community=list(zip(sizes, tprs, contributions)),
     )

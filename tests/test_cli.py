@@ -183,6 +183,14 @@ class TestDetectors:
             "caa", small_graph_file, "--max-cliques", 1, "--output-dir", tmp_path,
         ]) == 3
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_clique_cap_exit_1(self, cap, small_graph_file, tmp_path, capsys):
+        assert run([
+            "caa", small_graph_file, "--max-cliques", cap, "--output-dir", tmp_path,
+        ]) == 1
+        assert "--max-cliques" in capsys.readouterr().err
+        assert not (tmp_path / "caa_cover.txt").exists()
+
     def test_timeout_exit_3(self, tmp_path):
         g = planted_partition(8, 40, 0.5, 0.02, 1)
         f = tmp_path / "big.tsv"
@@ -231,6 +239,30 @@ class TestMetricsCommand:
         ]) == 0
         with open(tmp_path / "metrics.csv") as fh:
             assert {r["band"] for r in csv.DictReader(fh)} == {"1-4", "5+"}
+
+    def test_shared_label_exit_1(self, small_graph_file, tmp_path, monkeypatch, capsys):
+        g = load_edge_list(small_graph_file)
+        covers = [tmp_path / run_dir / "caa_cover.txt" for run_dir in ("a", "b")]
+        for path, threshold in zip(covers, (0.5, 0.9)):
+            path.parent.mkdir()
+            save_cover(g, caa.run_caa(g, caa.CaaParams(growing_threshold=threshold)), path)
+        evaluated = []
+        monkeypatch.setattr(metrics, "evaluate", lambda *a, **kw: evaluated.append(a))
+        assert run(["metrics", small_graph_file, *covers, "--output-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(covers[0]) in err and str(covers[1]) in err and "'caa_cover'" in err
+        assert evaluated == []
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_malformed_band_named_exit_1(self, small_graph_file, tmp_path, capsys):
+        g = load_edge_list(small_graph_file)
+        save_cover(g, caa.run_caa(g), tmp_path / "c.txt")
+        assert run([
+            "metrics", small_graph_file, tmp_path / "c.txt", "--bands", "1-3-5,6+",
+            "--output-dir", tmp_path,
+        ]) == 1
+        assert "'1-3-5'" in capsys.readouterr().err
 
     def test_unknown_cover_id_exit_2(self, small_graph_file, tmp_path):
         bad = tmp_path / "bad_cover.txt"
@@ -309,6 +341,15 @@ class TestSweep:
         ]) == 1
         assert not (tmp_path / "sweep_growing.csv").exists()
 
+    @pytest.mark.parametrize("sweep", ["growing", "overlapping"])
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_empty_grid_exit_1(self, sweep, grid, small_graph_file, tmp_path):
+        assert run([
+            "sweep", small_graph_file, "--sweep", sweep, "--grid", grid,
+            "--output-dir", tmp_path,
+        ]) == 1
+        assert not (tmp_path / f"sweep_{sweep}.csv").exists()
+
     def test_single_point_grid(self, small_graph_file, tmp_path):
         assert run([
             "sweep", small_graph_file, "--sweep", "growing", "--grid", "0.7",
@@ -337,6 +378,30 @@ class TestHashtagReport:
         assert report[0]["top_tags"][0] == ["gopdebate", 166]
         digest = (tmp_path / "hashtag_report.txt").read_text()
         assert "#gopdebate 166" in digest
+
+
+    # --size-lo 100 leaves no community to theme, so no per-community check runs.
+    @pytest.mark.parametrize("size_lo", [1, 100])
+    @pytest.mark.parametrize("flag, value", [
+        ("--community-top-k", -2), ("--community-top-k", 0), ("--user-top-k", 0),
+    ])
+    def test_non_positive_top_k_exit_1(self, flag, value, size_lo, tmp_path, data_dir):
+        graph_file = tmp_path / "g.tsv"
+        graph_file.write_text("u1\tu2\nu1\tu3\nu2\tu3\n")
+        cover_file = tmp_path / "cover.txt"
+        cover_file.write_text("u1 u2 u3\n")
+        assert run([
+            "hashtag-report", graph_file, cover_file, data_dir / "user_tags_sample.tsv",
+            "--size-lo", size_lo, flag, value, "--output-dir", tmp_path,
+        ]) == 1
+        assert not (tmp_path / "hashtag_report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--count", "--user-top-k", "--community-top-k"])
+    def test_sizes_checked_before_any_file_is_read(self, flag, tmp_path, capsys):
+        # The inputs do not exist: reading any of them would exit 2.
+        missing = [tmp_path / name for name in ("g.tsv", "cover.txt", "tags.tsv")]
+        assert run(["hashtag-report", *missing, flag, 0, "--output-dir", tmp_path]) == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestExitCodes:

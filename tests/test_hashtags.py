@@ -149,6 +149,12 @@ class TestCommunityTheme:
         assert entry.members_missing_data == 2
         assert entry.mean_pairwise_jaccard is None
 
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_community_top_k_validation(self, top_k):
+        g = self.make_graph(["a", "b"])
+        with pytest.raises(ValueError, match="top_k_community"):
+            community_theme(g, frozenset(range(2)), {"a": {"x": 1}}, top_k_community=top_k)
+
     def test_jaccard_properties(self):
         assert jaccard({1, 2}, {1, 2}) == 1.0
         assert jaccard({1}, {2}) == 0.0

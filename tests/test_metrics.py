@@ -10,6 +10,7 @@ from cliquecomm.metrics import (
     desirable_coverage,
     evaluate,
     extended_modularity,
+    parse_bands,
     size_histogram,
     triangle_participants,
     triangle_participation_ratio,
@@ -43,6 +44,17 @@ class TestBands:
     def test_labels(self):
         assert band_label((4, 9)) == "4-9"
         assert band_label((151, None)) == "151+"
+
+    @pytest.mark.parametrize("text, part", [
+        ("1-3-5", "1-3-5"), ("a-b", "a-b"), ("1-3,,4+", ""),
+    ])
+    def test_malformed_part_named(self, text, part):
+        with pytest.raises(ValueError, match=f"malformed band {part!r}"):
+            parse_bands(text)
+
+    def test_parsed_gap_rejected_by_validation(self):
+        with pytest.raises(ValueError, match="must start at 1"):
+            parse_bands("2-5,6+")
 
 
 class TestSizeHistogram:
@@ -149,6 +161,14 @@ class TestExtendedModularity:
     def test_empty_graph_rejected(self):
         g = gnp(4, 0.0, 0)
         with pytest.raises(ValueError):
+            extended_modularity(g, [frozenset({0, 1})])
+
+    def test_empty_cover_on_edgeless_graph(self):
+        g = gnp(4, 0.0, 0)
+        total, by_band, per_community = extended_modularity(g, [])
+        assert (total, per_community) == (0.0, [])
+        assert by_band == {band_label(b): 0.0 for b in DEFAULT_BANDS}
+        with pytest.raises(ValueError, match="edgeless"):
             extended_modularity(g, [frozenset({0, 1})])
 
     def test_negative_member_rejected(self):

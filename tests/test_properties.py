@@ -1,6 +1,7 @@
 """Hypothesis properties of edge-list ingest, file round trips, clique
 enumeration and order, the overlap filter, growth, the CAA pipeline, clique
-percolation, covers, and the coverage and TPR of evaluate.
+percolation, covers, the coverage, TPR and per-band figures of evaluate, and
+the band syntax.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -36,7 +37,7 @@ from cliquecomm.graph import (
     save_cover,
     save_edge_list,
 )
-from cliquecomm.metrics import evaluate
+from cliquecomm.metrics import band_label, evaluate, parse_bands
 from cliquecomm.oracles import (
     canonical_key,
     oracle_caa,
@@ -280,3 +281,48 @@ def test_coverage_and_tpr_match_oracles(g, data):
     report = evaluate(g, cover, coverage_lo=lo, coverage_hi=hi)
     assert report.coverage == oracle_desirable_coverage(g, cover, lo, hi)
     assert [tpr for _, tpr, _ in report.per_community] == [oracle_tpr(g, c) for c in cover]
+
+
+@st.composite
+def band_lists(draw, top):
+    """Contiguous bands from 1 to an open end, cut at drawn sizes below top."""
+    cuts = sorted(draw(st.sets(st.integers(2, top), max_size=4)))
+    return tuple(zip([1, *cuts], [c - 1 for c in cuts] + [None]))
+
+
+def running_sum(values, zero):
+    for v in values:
+        zero += v
+    return zero
+
+
+# Every per-band figure is a cover-order sum over the communities whose size
+# falls in the band, so each equals the same sum taken from per_community.
+@settings(deadline=None)
+@given(graphs_over(12), band_lists(top=7), st.data())
+def test_per_band_figures_recompute_from_per_community(g, bands, data):
+    assume(g.m)
+    member = st.integers(0, g.n - 1)
+    cover = data.draw(st.lists(st.frozensets(member, min_size=1), max_size=6))
+    report = evaluate(g, cover, bands)
+    rows = {band_label(b): [] for b in bands}
+    for size, tpr, eq in report.per_community:
+        lo, hi = next((lo, hi) for lo, hi in bands if lo <= size and (hi is None or size <= hi))
+        rows[band_label((lo, hi))].append((size, round(tpr * size), tpr, eq))
+    assert report.histogram == {label: len(r) for label, r in rows.items()}
+    assert report.eq_by_band == {
+        label: running_sum((eq for *_, eq in r), 0.0) for label, r in rows.items()}
+    assert report.tpr_mean_by_band == {
+        label: running_sum((tpr for _, _, tpr, _ in r), 0.0) / len(r) if r else None
+        for label, r in rows.items()}
+    assert report.tpr_micro_by_band == {
+        label: sum(p for _, p, _, _ in r) / sum(s for s, *_ in r) if r else None
+        for label, r in rows.items()}
+    for by_band in (report.histogram, report.eq_by_band,
+                    report.tpr_mean_by_band, report.tpr_micro_by_band):
+        assert list(by_band) == list(rows)
+
+
+@given(band_lists(top=10**6))
+def test_parse_bands_inverts_band_label(bands):
+    assert parse_bands(",".join(map(band_label, bands))) == bands
