@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import json
 import signal
@@ -281,6 +282,8 @@ def cmd_sweep(args, outdir):
 
 
 def cmd_hashtag_report(args, outdir):
+    # Sampling nothing checks the size range before any file is read.
+    hashtags.sample_communities([], args.size_lo, args.size_hi, args.count, args.seed)
     g = load_edge_list(args.graph)
     cover = load_cover(g, args.cover)
     table = hashtags.load_hashtags(args.hashtags, preserve_case=args.preserve_case)
@@ -399,6 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The run builds millions of sets, dicts and tuples but no reference
+    # cycles, so the cyclic collector's passes over them are pure cost:
+    # pause it for the run and leave it as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     started = time.monotonic()
     parser = build_parser()
     try:
@@ -406,14 +422,19 @@ def main(argv=None) -> int:
         # Inside the try: an alarm that lands during the disarm still exits 3.
         with _wall_clock_budget(args.timeout_secs):
             outdir = Path(args.output_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError) as exc:
+                raise SystemExit_Usage(
+                    f"cannot make --output-dir {args.output_dir!r}: {exc.strerror}"
+                ) from None
             inputs, outputs, extra = args.func(args, outdir)
             _write_manifest(args, outdir, inputs, outputs, started, extra)
         return EXIT_OK
     except (ResourceLimitError, DeadlineExceededError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SystemExit_Usage, ValueError, CliquecommError) as exc:

@@ -78,8 +78,10 @@ def enumerate_maximal_cliques(
     adjacent to all of P means every clique here extends to x, so the
     subproblem is skipped. The P scan stops at |P| - 1, the most a member
     of P can cover (Tomita, Tanaka & Takahashi 2006). A branch that cannot
-    reach min_size members is skipped. Raises ResourceLimitError past
-    max_cliques.
+    reach min_size members is skipped. A subproblem whose P holds one vertex
+    w allows one clique, r + (w,), maximal iff X misses N(w) (iff X is
+    empty when P is): it is emitted in place, with no frame or pivot scan.
+    Raises ResourceLimitError past max_cliques.
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
@@ -88,14 +90,21 @@ def enumerate_maximal_cliques(
     stack = []
 
     def push(r, p, x):
-        # Emit r if it is maximal, or push its frame unless X dominates P.
-        if not p:
-            if not x:
-                out.append(frozenset(r))
-                if len(out) > max_cliques:
-                    raise ResourceLimitError(
-                        f"maximal clique count exceeded cap {max_cliques}"
-                    )
+        # Emit the one clique a P of at most one vertex allows, if it is
+        # maximal; otherwise push r's frame unless X dominates P.
+        if len(p) <= 1:
+            if p:
+                (w,) = p
+                if not x.isdisjoint(adj[w]):
+                    return
+                r += (w,)
+            elif x:
+                return
+            out.append(frozenset(r))
+            if len(out) > max_cliques:
+                raise ResourceLimitError(
+                    f"maximal clique count exceeded cap {max_cliques}"
+                )
             return
         size = len(p)
         best, pivot = -1, None
@@ -183,10 +192,7 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
 
 
 def is_clique(g: Graph, members) -> bool:
-    members = list(members)
-    return all(
-        g.has_edge(members[i], members[j])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
-
+    """Members pairwise adjacent: each one's neighbours hold all the others."""
+    members = set(members)
+    others = len(members) - 1
+    return all(len(members & nbrs) == others for nbrs in map(g.adjacency.__getitem__, members))

@@ -8,6 +8,7 @@ sorting indices sorts ids.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, InputError
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +176,18 @@ def mutualize(d: DirectedEdgeList) -> Graph:
     return Graph(ids=ids, adjacency=adjacency)
 
 
+@contextlib.contextmanager
+def open_utf8(path):
+    """path opened for reading as UTF-8 text. A byte sequence that is not
+    UTF-8 raises InputError naming the file: its UnicodeDecodeError is a
+    ValueError, which would read as a usage error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_edge_list(path, directed: bool = False):
     """Read a tab-separated edge-list file.
 
@@ -188,7 +201,7 @@ def load_edge_list(path, directed: bool = False):
     its two id columns at once. Any other file goes through the line loop,
     which names the line of the first malformed record.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         text = fh.read()
     tabs = text.count("\t")
     # Text mode has already mapped "\r\n" and "\r" to "\n". Split on "\n"
@@ -288,7 +301,7 @@ def save_cover(g: Graph, cover: Sequence, path) -> None:
 def load_cover(g: Graph, path) -> Cover:
     """Read a cover file, mapping external ids back to g's indices."""
     cover = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

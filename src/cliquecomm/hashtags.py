@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EdgeListParseError
-from .graph import Graph
+from .graph import Graph, open_utf8
 
 HashtagTable = dict  # external-node-id -> {normalized tag -> count}
 USER_TOP_K = 10  # tags per member in the pairwise Jaccard
@@ -32,7 +32,7 @@ def load_hashtags(path, preserve_case: bool = False) -> HashtagTable:
     (user, tag) records sum their counts.
     """
     table = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("//"):
@@ -155,6 +155,8 @@ def sample_communities(cover, size_lo: int, size_hi: int, count: int, rng_seed: 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if size_lo > size_hi:
+        raise ValueError(f"size range [{size_lo}, {size_hi}] is empty: size_lo is above size_hi")
     qualifying = [c for c in cover if size_lo <= len(c) <= size_hi]
     if len(qualifying) <= count:
         return list(qualifying)

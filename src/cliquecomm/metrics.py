@@ -17,6 +17,9 @@ def validate_bands(bands) -> tuple:
     bands = tuple((int(lo), None if hi is None else int(hi)) for lo, hi in bands)
     if not bands or bands[0][0] != 1 or bands[-1][1] is not None:
         raise ValueError("bands must start at 1 and end with an open range")
+    for lo, hi in bands:
+        if hi is not None and hi < lo:
+            raise ValueError(f"band {band_label((lo, hi))} ends below its start")
     for (lo, hi), (nlo, _) in zip(bands, bands[1:]):
         if hi is None or nlo != hi + 1:
             raise ValueError(f"bands must be contiguous, got gap after [{lo},{hi}]")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -264,6 +265,17 @@ class TestMetricsCommand:
         ]) == 1
         assert "'1-3-5'" in capsys.readouterr().err
 
+    def test_band_ending_below_start_exit_1(self, small_graph_file, tmp_path, capsys):
+        g = load_edge_list(small_graph_file)
+        save_cover(g, caa.run_caa(g), tmp_path / "c.txt")
+        assert run([
+            "metrics", small_graph_file, tmp_path / "c.txt", "--bands", "1-3,4-2,3+",
+            "--output-dir", tmp_path,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "4-2" in err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_unknown_cover_id_exit_2(self, small_graph_file, tmp_path):
         bad = tmp_path / "bad_cover.txt"
         bad.write_text("nosuchnode\n")
@@ -396,6 +408,14 @@ class TestHashtagReport:
         ]) == 1
         assert not (tmp_path / "hashtag_report.json").exists()
 
+    def test_inverted_size_range_exit_1(self, tmp_path, capsys):
+        # The inputs do not exist: reading any of them would exit 2.
+        missing = [tmp_path / name for name in ("g.tsv", "cover.txt", "tags.tsv")]
+        assert run(["hashtag-report", *missing, "--size-lo", 50, "--size-hi", 10,
+                    "--output-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[50, 10]" in err
+
     @pytest.mark.parametrize("flag", ["--count", "--user-top-k", "--community-top-k"])
     def test_sizes_checked_before_any_file_is_read(self, flag, tmp_path, capsys):
         # The inputs do not exist: reading any of them would exit 2.
@@ -405,6 +425,60 @@ class TestHashtagReport:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir_blocked_by_file_exit_1(self, below, small_graph_file, tmp_path,
+                                               capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / below if below else blocker
+        assert run(["caa", small_graph_file, "--output-dir", outdir]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(outdir) in err
+        assert blocker.read_text() == ""
+
+    def test_input_below_a_file_exit_2(self, small_graph_file, tmp_path, capsys):
+        missing = small_graph_file / "sub.tsv"
+        assert run(["caa", missing, "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(missing) in err
+
+    # Each reader meets the bytes of an invalid UTF-8 sequence on line 2.
+    @pytest.mark.parametrize("bad", ["graph", "cover", "tags"])
+    def test_invalid_utf8_input_exit_2(self, bad, tmp_path, capsys, data_dir):
+        files = {"graph": tmp_path / "g.tsv", "cover": tmp_path / "cover.txt",
+                 "tags": tmp_path / "tags.tsv"}
+        files["graph"].write_text("u1\tu2\nu1\tu3\nu2\tu3\n")
+        files["cover"].write_text("u1 u2 u3\n")
+        files["tags"].write_bytes((data_dir / "user_tags_sample.tsv").read_bytes())
+        files[bad].write_bytes(files[bad].read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+        argv = {
+            "graph": ["caa", files["graph"]],
+            "cover": ["metrics", files["graph"], files["cover"]],
+            "tags": ["hashtag-report", *files.values(), "--size-lo", 1],
+        }[bad]
+        assert run([*argv, "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"{files[bad]}: not UTF-8" in err
+
+    # argv that exits 0, 1 (usage), 2 (missing input) and 3 (a spent budget).
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["caa", "{graph}"]),
+        (1, ["metrics"]),
+        (2, ["caa", "{missing}"]),
+        (3, ["caa", "{graph}", "--timeout-secs", "0"]),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled, code, argv, small_graph_file, tmp_path):
+        paths = {"graph": small_graph_file, "missing": tmp_path / "nope.tsv"}
+        argv = [a.format(**paths) for a in argv] + ["--output-dir", str(tmp_path)]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_memory_error_exit_3(self, small_graph_file, tmp_path, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError

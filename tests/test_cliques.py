@@ -46,6 +46,27 @@ class TestEnumerate:
         got = set(enumerate_maximal_cliques(g, 1).cliques)
         assert got == set(oracle_maximal_cliques(g))
 
+    def test_one_candidate_frames_dominated_by_x(self):
+        # Five overlapping K4s. At min_size 1 to 3 enumeration reaches
+        # subproblems whose P holds one vertex w and whose X holds a
+        # neighbour of w (at 3, inside a frame): each must emit nothing.
+        g = build_graph([
+            ("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v0", "v6"),
+            ("v0", "v7"), ("v0", "v8"), ("v1", "v2"), ("v1", "v3"), ("v1", "v6"),
+            ("v1", "v8"), ("v2", "v4"), ("v2", "v6"), ("v2", "v7"), ("v3", "v6"),
+            ("v3", "v8"), ("v4", "v7"), ("v5", "v7"), ("v5", "v8"), ("v6", "v8"),
+            ("v7", "v8"),
+        ])
+        nx = pytest.importorskip("networkx")
+        nx_graph = nx.Graph(list(g.edges()))
+        for min_size in (1, 2, 3, 4):
+            want = sort_cliques(
+                [c for c in oracle_maximal_cliques(g) if len(c) >= min_size])
+            assert len(want) == 5
+            assert enumerate_maximal_cliques(g, min_size).cliques == want
+            assert sort_cliques(
+                [c for c in nx.find_cliques(nx_graph) if len(c) >= min_size]) == want
+
     def test_every_output_maximal(self):
         g = gnp(25, 0.4, 77)
         for c in enumerate_maximal_cliques(g, 1).cliques:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from cliquecomm import graph as graph_module
-from cliquecomm.errors import EdgeListParseError
+from cliquecomm.errors import EdgeListParseError, InputError
 from cliquecomm.graph import (
     DirectedEdgeList,
     Graph,
@@ -81,6 +81,13 @@ class TestEdgeListIO:
         f.write_text("a\tb\nb\ta\n")
         d = load_edge_list(f, directed=True)
         assert d.edges == [("a", "b"), ("b", "a")]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_invalid_utf8_names_file(self, tmp_path, directed):
+        f = tmp_path / "e.tsv"
+        f.write_bytes(b"a\tb\n\xff\xfe\tc\n")
+        with pytest.raises(InputError, match="e.tsv: not UTF-8"):
+            load_edge_list(f, directed=directed)
 
     def test_undirected_load(self, tmp_path):
         f = tmp_path / "e.tsv"
@@ -303,6 +310,13 @@ class TestCoverIO:
         f = tmp_path / "cover.txt"
         f.write_text("k00 nosuch\n")
         with pytest.raises(EdgeListParseError):
+            load_cover(g, f)
+
+    def test_invalid_utf8_names_file(self, tmp_path):
+        g = complete_graph(3)
+        f = tmp_path / "cover.txt"
+        f.write_bytes(b"k00 k01\n\xff k02\n")
+        with pytest.raises(InputError, match="cover.txt: not UTF-8"):
             load_cover(g, f)
 
     def test_sort_order(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from cliquecomm.errors import EdgeListParseError
+from cliquecomm.errors import EdgeListParseError, InputError
 from cliquecomm.graph import build_graph
 from cliquecomm.hashtags import (
     community_theme,
@@ -26,6 +26,12 @@ EXPECTED_U1_ORDER = [
 
 
 class TestLoad:
+    def test_invalid_utf8_names_file(self, tmp_path):
+        f = tmp_path / "tags.tsv"
+        f.write_bytes(b"u\t#a\t1\n\xff\xfe\t#b\t2\n")
+        with pytest.raises(InputError, match="tags.tsv: not UTF-8"):
+            load_hashtags(f)
+
     def test_sample_file(self, data_dir):
         table = load_hashtags(data_dir / "user_tags_sample.tsv")
         assert table["u1"]["pray"] == 51
@@ -173,6 +179,11 @@ class TestSampleCommunities:
         b = sample_communities(cover, 10, 150, 50, 7)
         assert a == b
         assert len(a) == 50
+
+    def test_inverted_range_rejected(self):
+        cover = [frozenset(range(12))]
+        with pytest.raises(ValueError, match=r"\[50, 10\] is empty"):
+            sample_communities(cover, 50, 10, 3, 0)
 
     def test_bounds_exclude_all(self):
         cover = [frozenset(range(5))]

@@ -52,6 +52,13 @@ class TestBands:
         with pytest.raises(ValueError, match=f"malformed band {part!r}"):
             parse_bands(text)
 
+    def test_band_ending_below_start_named(self):
+        # 4-2 is followed by 3+, so the bands still read as contiguous.
+        with pytest.raises(ValueError, match="band 4-2 ends below its start"):
+            validate_bands([(1, 3), (4, 2), (3, None)])
+        with pytest.raises(ValueError, match="4-2"):
+            parse_bands("1-3,4-2,3+")
+
     def test_parsed_gap_rejected_by_validation(self):
         with pytest.raises(ValueError, match="must start at 1"):
             parse_bands("2-5,6+")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from cliquecomm import caa
 from cliquecomm.baselines import (
     CpmParams,
     LpParams,
@@ -79,6 +80,28 @@ def graphs_over(draw, n):
         if draw(st.integers(0, 9)) < (inside if block[a] == block[b] else between)
     ]
     return build_graph(edges, extra_nodes=ids)
+
+
+@st.composite
+def hub_graphs(draw):
+    """A clique c0, c1, ... of 3 to 8 nodes, hubs each joined to most of it
+    and to drawn outside nodes, and pendants joined to one or two of its
+    members. Hubs make the frontier large and members' degrees unequal,
+    which is what growth's choice between probing and counting reads."""
+    clique = [f"c{i}" for i in range(draw(st.integers(3, 8)))]
+    outside = [f"o{i}" for i in range(draw(st.integers(0, 6)))]
+    edges = list(combinations(clique, 2))
+    hubs = [f"h{i}" for i in range(draw(st.integers(1, 3)))]
+    most = len(clique) // 2 + 1
+    for hub in hubs:
+        edges += [(hub, c) for c in draw(st.lists(
+            st.sampled_from(clique), min_size=most, max_size=len(clique), unique=True))]
+        edges += [(hub, o) for o in outside if draw(st.booleans())]
+    edges += [pair for pair in combinations(hubs, 2) if draw(st.booleans())]
+    for i in range(draw(st.integers(0, 4))):
+        edges += [(f"p{i}", c) for c in draw(st.lists(
+            st.sampled_from(clique), min_size=1, max_size=2, unique=True))]
+    return build_graph(edges)
 
 
 def round_trip(save, load, *args):
@@ -235,10 +258,14 @@ def test_cpm_matches_oracle(g, k):
 
 
 # Thresholds whose t * |C| is integral at some sizes, so exact ties occur.
+GROWING_THRESHOLDS = st.sampled_from(
+    [Fraction(1, 4), Fraction(1, 3), 0.5, Fraction(2, 3), 0.7, 0.75, 0.9, 1])
+
+
 @settings(deadline=None)
 @given(
-    graphs_over(14),
-    st.sampled_from([Fraction(1, 4), Fraction(1, 3), 0.5, Fraction(2, 3), 0.7, 0.75, 1]),
+    graphs_over(14) | hub_graphs(),
+    GROWING_THRESHOLDS,
     st.sampled_from([None, 1, 2]),
     st.data(),
 )
@@ -252,6 +279,19 @@ def test_grow_matches_oracle(g, threshold, max_rounds, data):
             seed.add(v)
     assert grow_community_with_rounds(g, seed, threshold, max_rounds) == oracle_grow(
         g, seed, threshold, max_rounds)
+
+
+# PROBE_EDGE_COST 0 probes every round; a huge one counts from the first.
+@settings(deadline=None)
+@given(hub_graphs(), GROWING_THRESHOLDS, st.sampled_from([None, 1, 2]), st.data())
+def test_grow_from_hub_clique_matches_oracle_on_both_paths(g, threshold, max_rounds, data):
+    clique = [v for v in range(g.n) if g.ids[v].startswith("c")]
+    seed = data.draw(st.lists(st.sampled_from(clique), min_size=1, unique=True))
+    want = oracle_grow(g, seed, threshold, max_rounds)
+    for cost in (0, caa.PROBE_EDGE_COST, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(caa, "PROBE_EDGE_COST", cost)
+            assert grow_community_with_rounds(g, seed, threshold, max_rounds) == want
 
 
 @settings(deadline=None)
