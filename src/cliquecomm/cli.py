@@ -282,8 +282,9 @@ def cmd_sweep(args, outdir):
 
 
 def cmd_hashtag_report(args, outdir):
-    # Sampling nothing checks the size range before any file is read.
-    hashtags.sample_communities([], args.size_lo, args.size_hi, args.count, args.seed)
+    if args.size_lo > args.size_hi:
+        raise ValueError(f"size range [{args.size_lo}, {args.size_hi}] is empty: "
+                         "--size-lo is above --size-hi")
     g = load_edge_list(args.graph)
     cover = load_cover(g, args.cover)
     table = hashtags.load_hashtags(args.hashtags, preserve_case=args.preserve_case)

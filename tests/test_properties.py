@@ -262,7 +262,8 @@ GROWING_THRESHOLDS = st.sampled_from(
     [Fraction(1, 4), Fraction(1, 3), 0.5, Fraction(2, 3), 0.7, 0.75, 0.9, 1])
 
 
-@settings(deadline=None)
+# Twice the default examples, so graphs_over(14) keeps its own hundred.
+@settings(max_examples=200, deadline=None)
 @given(
     graphs_over(14) | hub_graphs(),
     GROWING_THRESHOLDS,
