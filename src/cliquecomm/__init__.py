@@ -17,7 +17,6 @@ from .graph import (
     load_cover,
     load_edge_list,
     mutualize,
-    planted_block,
     planted_partition,
     save_cover,
     save_edge_list,
@@ -36,7 +35,6 @@ from .metrics import (
     evaluate,
     extended_modularity,
     size_histogram,
-    triangle_participation_ratio,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __all__ = [
     "load_edge_list",
     "load_hashtags",
     "mutualize",
-    "planted_block",
     "planted_partition",
     "run_caa",
     "sample_communities",
@@ -78,6 +75,5 @@ __all__ = [
     "save_edge_list",
     "size_histogram",
     "sort_cover",
-    "triangle_participation_ratio",
     "user_top_k",
 ]

@@ -18,18 +18,6 @@ from .graph import Graph, sort_cover
 
 logger = logging.getLogger(__name__)
 
-# The price of a probed edge in counted ones. Gathering is C-level set work,
-# but each candidate it yields then costs a Python-level test and a set
-# intersection, where counting costs one C-level Counter increment per edge
-# and one scan step per node. Per-round times fitted on the benchmark graphs
-# break even near 2.3; 3 also stops the large probes of low thresholds early.
-# Probing pays on hub-heavy graphs at high thresholds: growing the dense
-# benchmark graph's seeds by counting from the first round takes about twice
-# as long at t = 0.9, and 4-21% longer at t = 0.7, than this rule. Counting
-# from the first round is 5-22% faster there at t = 0.5, and 3-15% faster on
-# the social mutual graph, whose seeds mostly grow no round.
-PROBE_EDGE_COST = 3
-
 
 @dataclass(frozen=True)
 class CaaParams:
@@ -67,16 +55,6 @@ def grow_community_with_rounds(
     Each round admits, simultaneously, every non-member neighbor whose edge
     count into the round-start snapshot is at least
     growing_threshold * |snapshot|. Returns (community, rounds_executed).
-
-    An admitted w has need = ceil(t * |C|) neighbours in C, so it is
-    adjacent to one of any |C| - need + 1 members (the prefix filter of
-    filter_overlapping). A probe round gathers candidates from that many
-    lowest-degree members only, drops those of degree below need, and
-    counts the rest with one set intersection each. Probing re-reads its
-    members every round, while counting edges into C is paid once and then
-    updated by the admitted members' edges. So rounds probe while
-    PROBE_EDGE_COST times the probe degree sum spent so far is at most the
-    degree sum of C, then count to the end.
     """
     adj = g.adjacency
     community = set(seed)
@@ -87,37 +65,17 @@ def grow_community_with_rounds(
         raise ValueError(f"growing threshold must be in (0, 1], got {t}")
     num, den = t.numerator, t.denominator
 
-    nbrs = sorted(map(adj.__getitem__, community), key=len)  # members' neighbour sets
-    degree_sum = sum(map(len, nbrs))
-    spent = 0
-    counts = None  # once counting: node -> its edges into C, members included
+    # node -> its edges into C, members included
+    counts = Counter(chain.from_iterable(map(adj.__getitem__, community)))
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
-        size = len(community)
-        need = -(-num * size // den)
-        if counts is None:
-            probe = nbrs[:size - need + 1]
-            spent += sum(map(len, probe))
-            if PROBE_EDGE_COST * spent > degree_sum:
-                counts = Counter(chain.from_iterable(nbrs))
-            else:
-                candidates = set().union(*probe)
-                candidates -= community
-                admitted = [w for w in candidates
-                            if len(adj[w]) >= need and len(adj[w] & community) >= need]
-        if counts is not None:
-            admitted = [v for v, c in counts.items() if c >= need and v not in community]
+        need = -(-num * len(community) // den)
+        admitted = [v for v, c in counts.items() if c >= need and v not in community]
         if not admitted:
             break
         rounds += 1
         community.update(admitted)
-        grown = list(map(adj.__getitem__, admitted))
-        if counts is None:
-            nbrs += grown
-            nbrs.sort(key=len)
-            degree_sum += sum(map(len, grown))
-        else:
-            counts.update(chain.from_iterable(grown))
+        counts.update(chain.from_iterable(map(adj.__getitem__, admitted)))
     return frozenset(community), rounds
 
 

@@ -178,10 +178,11 @@ def mutualize(d: DirectedEdgeList) -> Graph:
 
 @contextlib.contextmanager
 def open_utf8(path):
-    """path opened for reading as UTF-8 text. A byte sequence that is not
-    UTF-8 raises InputError naming the file: its UnicodeDecodeError is a
+    """path opened for reading as UTF-8 text, without the byte-order mark
+    some editors write at its start. A byte sequence that is not UTF-8
+    raises InputError naming the file: its UnicodeDecodeError is a
     ValueError, which would read as a usage error."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -376,11 +377,6 @@ def planted_partition(
                 add_edge(i, j)
 
     return Graph(ids=ids, adjacency=adjacency)
-
-
-def planted_block(external_id: str) -> int:
-    """Recover the planted block index from a planted_partition node id."""
-    return int(external_id.split("-", 1)[0])
 
 
 def _sample_indices(total: int, p: float, rng) -> Iterable:

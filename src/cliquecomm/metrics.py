@@ -143,13 +143,6 @@ def triangle_participants(g: Graph, c) -> set:
     return in_triangle
 
 
-def triangle_participation_ratio(g: Graph, c) -> float:
-    """Fraction of c's members in at least one triangle inside the community."""
-    if not c:
-        return 0.0
-    return len(triangle_participants(g, c)) / len(c)
-
-
 @dataclass
 class MetricsReport:
     community_count: int

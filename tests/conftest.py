@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from cliquecomm.graph import build_graph
+from cliquecomm.metrics import triangle_participants
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -36,6 +37,17 @@ def two_k5():
         ids = [f"{base}{i}" for i in range(5)]
         edges.extend((ids[i], ids[j]) for i in range(5) for j in range(i + 1, 5))
     return build_graph(edges)
+
+
+def planted_block(external_id):
+    """The planted block index of a planted_partition node id."""
+    return int(external_id.split("-", 1)[0])
+
+
+def tpr(g, c):
+    """Triangle participation ratio: the share of c's members in a
+    triangle inside c."""
+    return len(triangle_participants(g, c)) / len(c)
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import EdgeListParseError
-from .graph import DirectedEdgeList, Graph
+from cliquecomm.errors import EdgeListParseError
+from cliquecomm.graph import DirectedEdgeList, Graph
 
 MAX_CLIQUE_ORACLE_N = 12
 MAX_CPM_ORACLE_N = 10

@@ -16,10 +16,10 @@ from cliquecomm.graph import (
     save_edge_list,
 )
 from cliquecomm.hashtags import community_theme, load_hashtags, user_top_k
-from cliquecomm.metrics import evaluate, extended_modularity, triangle_participation_ratio
-from cliquecomm.oracles import oracle_cpm, oracle_maximal_cliques, oracle_modularity
+from cliquecomm.metrics import evaluate, extended_modularity
 
-from conftest import DATA_DIR, gnp, two_k5
+from conftest import DATA_DIR, gnp, tpr, two_k5
+from oracles import oracle_cpm, oracle_maximal_cliques, oracle_modularity
 from test_metrics import random_partition
 
 SYNTH = dict(k_blocks=10, block_size=30, p_in=0.6, p_out=0.02, rng_seed=42)
@@ -138,22 +138,22 @@ def test_criterion_08_overlapping_threshold_trend():
 
 def test_criterion_09_tpr():
     tri = build_graph([("a", "b"), ("b", "c"), ("a", "c")])
-    assert triangle_participation_ratio(tri, frozenset(range(3))) == 1.0
+    assert tpr(tri, frozenset(range(3))) == 1.0
     k6 = build_graph(
         [(f"v{i}", f"v{j}") for i in range(6) for j in range(i + 1, 6)]
     )
-    assert triangle_participation_ratio(k6, frozenset(range(6))) == 1.0
+    assert tpr(k6, frozenset(range(6))) == 1.0
     path4 = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
-    assert triangle_participation_ratio(path4, frozenset(range(4))) == 0.0
+    assert tpr(path4, frozenset(range(4))) == 0.0
     pendant = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
-    assert triangle_participation_ratio(pendant, frozenset(range(4))) == 0.75
+    assert tpr(pendant, frozenset(range(4))) == 0.75
 
     g = planted_partition(**SYNTH)
     caa_mean = statistics.mean(
-        triangle_participation_ratio(g, c) for c in run_caa(g)
+        tpr(g, c) for c in run_caa(g)
     )
     lp_mean = statistics.mean(
-        triangle_participation_ratio(g, c)
+        tpr(g, c)
         for c in label_propagation(g, LpParams(rng_seed=0))
     )
     assert caa_mean >= lp_mean

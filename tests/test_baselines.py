@@ -6,10 +6,10 @@ from cliquecomm.baselines import (
     clique_percolation,
     label_propagation,
 )
-from cliquecomm.graph import build_graph, planted_block, planted_partition
-from cliquecomm.oracles import oracle_cpm
+from cliquecomm.graph import build_graph, planted_partition
 
-from conftest import complete_graph, gnp
+from conftest import complete_graph, gnp, planted_block
+from oracles import oracle_cpm
 
 
 def two_triangles_shared_edge():

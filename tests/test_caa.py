@@ -1,9 +1,7 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cliquecomm import caa
 from cliquecomm.caa import (
     CaaParams,
     CaaRunSummary,
@@ -11,11 +9,11 @@ from cliquecomm.caa import (
     run_caa,
 )
 from cliquecomm.cliques import enumerate_maximal_cliques
-from cliquecomm.graph import build_graph, planted_block, planted_partition, save_cover
+from cliquecomm.graph import build_graph, planted_partition, save_cover
 from cliquecomm.metrics import triangle_participants
-from cliquecomm.oracles import oracle_grow
 
-from conftest import gnp, two_k5
+from conftest import gnp, planted_block, two_k5
+from oracles import oracle_grow
 
 
 def k10_plus_candidates():
@@ -76,17 +74,6 @@ class TestGrowCommunity:
         assert rounds == 0 and grown == seed
 
 
-@pytest.fixture(params=["probe", "count"])
-def growth_path(request, monkeypatch):
-    """Put every growth round on one path: PROBE_EDGE_COST 0 never stops
-    probing, a huge one counts from the first round. Returns the path and
-    a list that gets one entry per frontier count built."""
-    monkeypatch.setattr(caa, "PROBE_EDGE_COST", 0 if request.param == "probe" else 10**9)
-    built = []
-    monkeypatch.setattr(caa, "Counter", lambda edges: built.append(1) or Counter(edges))
-    return request.param, built
-
-
 def hubs_on_cliques():
     """Planted blocks, plus two hubs joined to most of every block and a
     pendant on each block: a large frontier and unequal member degrees."""
@@ -100,15 +87,14 @@ def hubs_on_cliques():
     return build_graph(edges)
 
 
-class TestGrowthPaths:
+class TestGrowAgainstOracle:
     # Seeds are maximal cliques and those cliques less one member, whose
     # missing member is adjacent to all of them, so every threshold grows.
     @pytest.mark.parametrize("threshold", [
         0.5, 0.7, 0.9, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5),
     ])
     @pytest.mark.parametrize("max_rounds", [None, 1, 2])
-    def test_matches_oracle(self, growth_path, threshold, max_rounds):
-        path, built = growth_path
+    def test_matches_oracle(self, threshold, max_rounds):
         rounds_total = 0
         for g in (k10_plus_candidates(), gnp(30, 0.3, 4), hubs_on_cliques()):
             for clique in enumerate_maximal_cliques(g, 3).cliques:
@@ -117,7 +103,6 @@ class TestGrowthPaths:
                     assert got == oracle_grow(g, seed, threshold, max_rounds)
                     rounds_total += got[1]
         assert rounds_total > 0
-        assert bool(built) == (path == "count")
 
 
 class TestRunCaa:

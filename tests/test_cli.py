@@ -460,6 +460,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"{files[bad]}: not UTF-8" in err
 
+    def test_byte_order_mark_triangle_is_one_community(self, tmp_path):
+        src = tmp_path / "g.tsv"
+        src.write_bytes("\ufeffa\tb\nb\tc\nc\ta\n".encode())
+        assert run(["caa", src, "--output-dir", tmp_path]) == 0
+        assert (tmp_path / "caa_cover.txt").read_text(encoding="utf-8") == "a b c\n"
+
     # argv that exits 0, 1 (usage), 2 (missing input) and 3 (a spent budget).
     @pytest.mark.parametrize("code, argv", [
         (0, ["caa", "{graph}"]),

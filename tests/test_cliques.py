@@ -9,13 +9,13 @@ from cliquecomm.cliques import (
 )
 from cliquecomm.errors import ResourceLimitError
 from cliquecomm.graph import build_graph
-from cliquecomm.oracles import (
+
+from conftest import complete_graph, gnp
+from oracles import (
     is_maximal_clique,
     oracle_filter_overlapping,
     oracle_maximal_cliques,
 )
-
-from conftest import complete_graph, gnp
 
 
 class TestEnumerate:

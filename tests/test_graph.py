@@ -13,14 +13,13 @@ from cliquecomm.graph import (
     load_cover,
     load_edge_list,
     mutualize,
-    planted_block,
     planted_partition,
     save_cover,
     save_edge_list,
     sort_cover,
 )
 
-from conftest import complete_graph, gnp
+from conftest import complete_graph, gnp, planted_block
 
 
 def assert_graph_invariants(g):
@@ -88,6 +87,14 @@ class TestEdgeListIO:
         f.write_bytes(b"a\tb\n\xff\xfe\tc\n")
         with pytest.raises(InputError, match="e.tsv: not UTF-8"):
             load_edge_list(f, directed=directed)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        f = tmp_path / "e.tsv"
+        f.write_bytes("\ufeffa\tb\nb\tc\nc\ta\n".encode())
+        g = load_edge_list(f)
+        assert g.ids == ["a", "b", "c"] and g.m == 3
+        d = load_edge_list(f, directed=True)
+        assert d.edges == [("a", "b"), ("b", "c"), ("c", "a")]
 
     def test_undirected_load(self, tmp_path):
         f = tmp_path / "e.tsv"
@@ -318,6 +325,12 @@ class TestCoverIO:
         f.write_bytes(b"k00 k01\n\xff k02\n")
         with pytest.raises(InputError, match="cover.txt: not UTF-8"):
             load_cover(g, f)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        g = complete_graph(3)
+        f = tmp_path / "cover.txt"
+        f.write_bytes("\ufeffk00 k01\nk02\n".encode())
+        assert load_cover(g, f) == [frozenset({0, 1}), frozenset({2})]
 
     def test_sort_order(self):
         g = gnp(6, 1.0, 0)

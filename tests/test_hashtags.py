@@ -32,6 +32,11 @@ class TestLoad:
         with pytest.raises(InputError, match="tags.tsv: not UTF-8"):
             load_hashtags(f)
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        f = tmp_path / "tags.tsv"
+        f.write_bytes("\ufeffu\t#a\t1\n".encode())
+        assert load_hashtags(f) == {"u": {"a": 1}}
+
     def test_sample_file(self, data_dir):
         table = load_hashtags(data_dir / "user_tags_sample.tsv")
         assert table["u1"]["pray"] == 51

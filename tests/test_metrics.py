@@ -13,12 +13,11 @@ from cliquecomm.metrics import (
     parse_bands,
     size_histogram,
     triangle_participants,
-    triangle_participation_ratio,
     validate_bands,
 )
-from cliquecomm.oracles import oracle_modularity
 
-from conftest import complete_graph, gnp, two_k5
+from conftest import complete_graph, gnp, tpr, two_k5
+from oracles import oracle_modularity
 
 
 def random_partition(n, max_parts, seed):
@@ -187,25 +186,25 @@ class TestExtendedModularity:
 class TestTpr:
     def test_triangle_is_one(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c")])
-        assert triangle_participation_ratio(g, frozenset(range(3))) == 1.0
+        assert tpr(g, frozenset(range(3))) == 1.0
 
     def test_path_is_zero(self):
         g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
-        assert triangle_participation_ratio(g, frozenset(range(4))) == 0.0
+        assert tpr(g, frozenset(range(4))) == 0.0
 
     def test_pendant_three_quarters(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
-        assert triangle_participation_ratio(g, frozenset(range(4))) == 0.75
+        assert tpr(g, frozenset(range(4))) == 0.75
 
     def test_cliques_score_one(self):
         for n in (3, 4, 6):
             g = complete_graph(n)
-            assert triangle_participation_ratio(g, frozenset(range(n))) == 1.0
+            assert tpr(g, frozenset(range(n))) == 1.0
 
     def test_only_internal_triangles_count(self):
         # the triangle uses node d; restricted to {a, b, d} it disappears
         g = build_graph([("a", "b"), ("b", "d"), ("a", "d"), ("a", "c")])
-        assert triangle_participation_ratio(g, frozenset(g.index_of(x) for x in "abc")) == 0.0
+        assert tpr(g, frozenset(g.index_of(x) for x in "abc")) == 0.0
 
     def test_matches_brute_force(self):
         g = gnp(14, 0.45, 12)

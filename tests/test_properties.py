@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from cliquecomm import caa
 from cliquecomm.baselines import (
     CpmParams,
     LpParams,
@@ -39,7 +38,8 @@ from cliquecomm.graph import (
     save_edge_list,
 )
 from cliquecomm.metrics import band_label, evaluate, parse_bands
-from cliquecomm.oracles import (
+
+from oracles import (
     canonical_key,
     oracle_caa,
     oracle_cpm,
@@ -86,8 +86,8 @@ def graphs_over(draw, n):
 def hub_graphs(draw):
     """A clique c0, c1, ... of 3 to 8 nodes, hubs each joined to most of it
     and to drawn outside nodes, and pendants joined to one or two of its
-    members. Hubs make the frontier large and members' degrees unequal,
-    which is what growth's choice between probing and counting reads."""
+    members, so non-members' edge counts into the clique range from one to
+    all of it, on both sides of growth's admission bar."""
     clique = [f"c{i}" for i in range(draw(st.integers(3, 8)))]
     outside = [f"o{i}" for i in range(draw(st.integers(0, 6)))]
     edges = list(combinations(clique, 2))
@@ -282,17 +282,13 @@ def test_grow_matches_oracle(g, threshold, max_rounds, data):
         g, seed, threshold, max_rounds)
 
 
-# PROBE_EDGE_COST 0 probes every round; a huge one counts from the first.
 @settings(deadline=None)
 @given(hub_graphs(), GROWING_THRESHOLDS, st.sampled_from([None, 1, 2]), st.data())
-def test_grow_from_hub_clique_matches_oracle_on_both_paths(g, threshold, max_rounds, data):
+def test_grow_from_hub_clique_matches_oracle(g, threshold, max_rounds, data):
     clique = [v for v in range(g.n) if g.ids[v].startswith("c")]
     seed = data.draw(st.lists(st.sampled_from(clique), min_size=1, unique=True))
-    want = oracle_grow(g, seed, threshold, max_rounds)
-    for cost in (0, caa.PROBE_EDGE_COST, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(caa, "PROBE_EDGE_COST", cost)
-            assert grow_community_with_rounds(g, seed, threshold, max_rounds) == want
+    assert grow_community_with_rounds(g, seed, threshold, max_rounds) == oracle_grow(
+        g, seed, threshold, max_rounds)
 
 
 @settings(deadline=None)
