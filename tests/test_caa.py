@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cliquecomm import caa
 from cliquecomm.caa import (
     CaaParams,
     CaaRunSummary,
@@ -74,6 +76,15 @@ class TestGrowCommunity:
         assert rounds == 0 and grown == seed
 
 
+@pytest.fixture(params=["count"])
+def counters_built(monkeypatch):
+    """Growth's one rule counts edges into C from the first round. Returns
+    a list that gets one entry per Counter growth builds."""
+    built = []
+    monkeypatch.setattr(caa, "Counter", lambda edges: built.append(1) or Counter(edges))
+    return built
+
+
 def hubs_on_cliques():
     """Planted blocks, plus two hubs joined to most of every block and a
     pendant on each block: a large frontier and unequal member degrees."""
@@ -87,22 +98,25 @@ def hubs_on_cliques():
     return build_graph(edges)
 
 
-class TestGrowAgainstOracle:
+class TestGrowthPaths:
     # Seeds are maximal cliques and those cliques less one member, whose
     # missing member is adjacent to all of them, so every threshold grows.
     @pytest.mark.parametrize("threshold", [
         0.5, 0.7, 0.9, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5),
     ])
     @pytest.mark.parametrize("max_rounds", [None, 1, 2])
-    def test_matches_oracle(self, threshold, max_rounds):
-        rounds_total = 0
+    def test_matches_oracle(self, counters_built, threshold, max_rounds):
+        rounds_total = calls = 0
         for g in (k10_plus_candidates(), gnp(30, 0.3, 4), hubs_on_cliques()):
             for clique in enumerate_maximal_cliques(g, 3).cliques:
                 for seed in (clique, *(clique - {v} for v in sorted(clique)[:2])):
                     got = grow_community_with_rounds(g, seed, threshold, max_rounds)
                     assert got == oracle_grow(g, seed, threshold, max_rounds)
                     rounds_total += got[1]
+                    calls += 1
         assert rounds_total > 0
+        # one Counter per seed, updated in place however many rounds it runs
+        assert len(counters_built) == calls
 
 
 class TestRunCaa:
