@@ -257,10 +257,10 @@ def cmd_sweep(args, outdir):
     min_size = args.min_clique_size
     if min_size is None:
         min_size = caa.CaaParams.min_clique_size if growing else OVERLAP_SWEEP_MIN_SIZE
-    if growing:
-        # Built up front so that a bad grid value fails before any work.
-        params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v)
-                  for v in grid]
+    # Built up front so that a bad grid value fails before any work. The
+    # overlapping sweep passes no floor: it accepts floors below caa's 3.
+    params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v) if growing
+              else caa.CaaParams(overlapping_threshold=v) for v in grid]
     cliques = enumerate_maximal_cliques(g, min_size)
 
     if growing:
@@ -425,7 +425,7 @@ def _run(argv) -> int:
             outdir = Path(args.output_dir)
             try:
                 outdir.mkdir(parents=True, exist_ok=True)
-            except (FileExistsError, NotADirectoryError) as exc:
+            except OSError as exc:
                 raise SystemExit_Usage(
                     f"cannot make --output-dir {args.output_dir!r}: {exc.strerror}"
                 ) from None
@@ -435,7 +435,7 @@ def _run(argv) -> int:
     except (ResourceLimitError, DeadlineExceededError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SystemExit_Usage, ValueError, CliquecommError) as exc:

@@ -42,7 +42,7 @@ def sort_cliques(cliques) -> list:
 def degeneracy_order(g: Graph) -> list:
     """Vertex order by repeated minimum-degree removal (bucket queue)."""
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    deg = list(map(len, g.adjacency))
     max_deg = max(deg, default=0)
     buckets = [set() for _ in range(max_deg + 1)]
     for v in range(n):

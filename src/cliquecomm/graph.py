@@ -61,12 +61,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
-
     def index_of(self, external_id: str) -> int:
         return self._index[external_id]
 
@@ -300,23 +294,20 @@ def save_cover(g: Graph, cover: Sequence, path) -> None:
 
 
 def load_cover(g: Graph, path) -> Cover:
-    """Read a cover file, mapping external ids back to g's indices."""
+    """Read a cover file, mapping external ids back to g's indices. A line
+    with no ids, or whose first id starts with '#', is skipped."""
+    index = g._index.__getitem__
     cover = []
     with open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(fh, start=1):
+            ids = line.split()
+            if not ids or ids[0][0] == "#":
                 continue
-            members = set()
-            for token in line.split():
-                try:
-                    members.add(g.index_of(token))
-                except KeyError:
-                    raise EdgeListParseError(
-                        path, lineno, f"unknown node id {token!r}"
-                    ) from None
-            if members:
-                cover.append(frozenset(members))
+            try:
+                cover.append(frozenset(map(index, ids)))
+            except KeyError as exc:
+                message = f"unknown node id {exc.args[0]!r}"
+                raise EdgeListParseError(path, lineno, message) from None
     return cover
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import EdgeListParseError
 from .graph import Graph, open_utf8
@@ -105,36 +106,23 @@ def community_theme(
     if top_k_community < 1:
         raise ValueError("top_k_community must be >= 1")
     member_ids = [g.ids[v] for v in sorted(c)]
+    tagged = [uid for uid in member_ids if table.get(uid)]
     aggregate = {}
-    top_sets = []
-    missing = 0
-    for uid in member_ids:
-        tags = table.get(uid)
-        if not tags:
-            missing += 1
-            continue
-        for tag, count in tags.items():
+    for uid in tagged:
+        for tag, count in table[uid].items():
             aggregate[tag] = aggregate.get(tag, 0) + count
-        top_sets.append({tag for tag, _ in user_top_k(table, uid, k)})
-
     top_tags = _ranked(aggregate)[:top_k_community]
+    top_sets = [{tag for tag, _ in user_top_k(table, uid, k)} for uid in tagged]
 
-    if len(top_sets) >= 2:
-        total = 0.0
-        pairs = 0
-        for i in range(len(top_sets)):
-            for j in range(i + 1, len(top_sets)):
-                total += jaccard(top_sets[i], top_sets[j])
-                pairs += 1
-        mean_jaccard = total / pairs
-    else:
-        mean_jaccard = None
-
-    if top_sets and top_tags:
-        top_tag = top_tags[0][0]
-        penetration = sum(1 for s in top_sets if top_tag in s) / len(top_sets)
-    else:
-        penetration = None
+    n = len(top_sets)
+    mean_jaccard = penetration = None
+    if n >= 2:
+        total = 0.0  # summed in pair order, not by sum(), whose rounding varies
+        for a, b in combinations(top_sets, 2):
+            total += jaccard(a, b)
+        mean_jaccard = total / (n * (n - 1) // 2)
+    if top_sets:  # then some member has a tag, so top_tags is not empty
+        penetration = sum(top_tags[0][0] in s for s in top_sets) / n
 
     return ThemeEntry(
         size=len(c),
@@ -142,8 +130,8 @@ def community_theme(
         top_tags=top_tags,
         mean_pairwise_jaccard=mean_jaccard,
         top_tag_penetration=penetration,
-        members_with_data=len(top_sets),
-        members_missing_data=missing,
+        members_with_data=n,
+        members_missing_data=len(member_ids) - n,
     )
 
 

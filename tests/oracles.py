@@ -31,7 +31,7 @@ def oracle_maximal_cliques(g: Graph):
     cliques = []
     for size in range(1, g.n + 1):
         for subset in combinations(nodes, size):
-            if not all(g.has_edge(a, b) for a, b in combinations(subset, 2)):
+            if not all(b in g.adjacency[a] for a, b in combinations(subset, 2)):
                 continue
             ss = set(subset)
             maximal = not any(
@@ -45,7 +45,7 @@ def oracle_maximal_cliques(g: Graph):
 def is_maximal_clique(g: Graph, members) -> bool:
     """Members pairwise adjacent, and no other node adjacent to all of them."""
     ms = set(members)
-    if not all(g.has_edge(a, b) for a, b in combinations(ms, 2)):
+    if not all(b in g.adjacency[a] for a, b in combinations(ms, 2)):
         return False
     return not any(ms <= g.adjacency[v] for v in range(g.n) if v not in ms)
 
@@ -79,8 +79,8 @@ def oracle_modularity(g: Graph, partition) -> float:
         for w in range(g.n):
             if label.get(v) is None or label.get(v) != label.get(w):
                 continue
-            a_vw = 1.0 if g.has_edge(v, w) else 0.0
-            q += a_vw - g.degree(v) * g.degree(w) / (2.0 * m)
+            a_vw = 1.0 if w in g.adjacency[v] else 0.0
+            q += a_vw - len(g.adjacency[v]) * len(g.adjacency[w]) / (2.0 * m)
     return q / (2.0 * m)
 
 
@@ -95,7 +95,7 @@ def oracle_tpr(g: Graph, c) -> float:
     """Share of c's members in a triangle inside c, from every member triple."""
     in_triangle = set()
     for triple in combinations(sorted(c), 3):
-        if all(g.has_edge(a, b) for a, b in combinations(triple, 2)):
+        if all(b in g.adjacency[a] for a, b in combinations(triple, 2)):
             in_triangle.update(triple)
     return len(in_triangle) / len(c)
 
@@ -111,7 +111,7 @@ def oracle_cpm(g: Graph, k: int):
     cliques = [
         set(s)
         for s in combinations(range(g.n), k)
-        if all(g.has_edge(a, b) for a, b in combinations(s, 2))
+        if all(b in g.adjacency[a] for a, b in combinations(s, 2))
     ]
     unvisited = set(range(len(cliques)))
     covers = []
@@ -224,3 +224,44 @@ def oracle_load_edge_list(path, directed=False):
     if directed:
         return DirectedEdgeList(edges=edges)
     return oracle_build_graph(edges)
+
+
+def oracle_theme(g: Graph, c, table, k, top_k_community) -> dict:
+    """community_theme's fields from per-member loops. A member has data
+    when its tag dict is non-empty; its top k tags come from a full sort of
+    that dict (count descending, then tag). Jaccard is averaged over every
+    index pair i < j, in that order; penetration is the share of members
+    with data whose top k holds the community's top tag."""
+    member_ids = sorted(g.ids[v] for v in c)
+    aggregate = {}
+    top_sets = []
+    for uid in member_ids:
+        tags = table.get(uid, {})
+        if len(tags) == 0:
+            continue
+        for tag in tags:
+            aggregate[tag] = aggregate.get(tag, 0) + tags[tag]
+        ranked = sorted(tags, key=lambda t: (-tags[t], t))
+        top_sets.append(set(ranked[:k]))
+    ranked = sorted(aggregate, key=lambda t: (-aggregate[t], t))
+    top_tags = [(t, aggregate[t]) for t in ranked[:top_k_community]]
+    mean_jaccard = penetration = None
+    total, pairs = 0.0, 0
+    for i in range(len(top_sets)):
+        for j in range(i + 1, len(top_sets)):
+            total += len(top_sets[i] & top_sets[j]) / len(top_sets[i] | top_sets[j])
+            pairs += 1
+    if pairs:
+        mean_jaccard = total / pairs
+    if top_sets:
+        holding = [s for s in top_sets if top_tags[0][0] in s]
+        penetration = len(holding) / len(top_sets)
+    return {
+        "size": len(c),
+        "member_ids": member_ids,
+        "top_tags": top_tags,
+        "mean_pairwise_jaccard": mean_jaccard,
+        "top_tag_penetration": penetration,
+        "members_with_data": len(top_sets),
+        "members_missing_data": len(member_ids) - len(top_sets),
+    }

@@ -87,7 +87,7 @@ class TestCliquePercolation:
 
                 for v in c:
                     assert any(
-                        all(g.has_edge(a, b) for a, b in combinations(kc, 2))
+                        all(b in g.adjacency[a] for a, b in combinations(kc, 2))
                         for kc in combinations(sorted(c), k)
                         if v in kc
                     )

@@ -353,6 +353,27 @@ class TestSweep:
         ]) == 1
         assert not (tmp_path / "sweep_growing.csv").exists()
 
+    @pytest.mark.parametrize("sweep, floor", [("growing", 3), ("overlapping", 2)])
+    def test_bad_grid_value_exit_1_before_enumerating(self, sweep, floor, small_graph_file,
+                                                     tmp_path, monkeypatch, capsys):
+        def enumerate_maximal_cliques(*args, **kwargs):
+            raise AssertionError("enumerated before the grid was checked")
+        monkeypatch.setattr(cli, "enumerate_maximal_cliques", enumerate_maximal_cliques)
+        assert run([
+            "sweep", small_graph_file, "--sweep", sweep, "--grid", "0,0.5,1.5",
+            "--min-clique-size", floor, "--output-dir", tmp_path,
+        ]) == 1
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / f"sweep_{sweep}.csv").exists()
+
+    def test_overlapping_sweep_accepts_floor_below_3(self, small_graph_file, tmp_path):
+        assert run([
+            "sweep", small_graph_file, "--sweep", "overlapping", "--grid", "0,1",
+            "--min-clique-size", 2, "--output-dir", tmp_path,
+        ]) == 0
+        with open(tmp_path / "sweep_overlapping.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+
     @pytest.mark.parametrize("sweep", ["growing", "overlapping"])
     @pytest.mark.parametrize("grid", ["", ",", " , "])
     def test_empty_grid_exit_1(self, sweep, grid, small_graph_file, tmp_path):
@@ -435,6 +456,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and str(outdir) in err
         assert blocker.read_text() == ""
+
+    # A symlink loop and a 300-character name raise OSErrors that are not
+    # FileNotFoundError or a directory error.
+    @pytest.mark.parametrize("below", ["loop", "loop/sub", "x" * 300],
+                             ids=["loop", "below-loop", "long-name"])
+    def test_unusable_output_dir_exit_1(self, below, small_graph_file, tmp_path, capsys):
+        (tmp_path / "loop").symlink_to("loop")
+        outdir = tmp_path / below
+        assert run(["caa", small_graph_file, "--output-dir", outdir]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(outdir) in err
+
+    @pytest.mark.parametrize("name", ["loop", "x" * 300], ids=["loop", "long-name"])
+    @pytest.mark.parametrize("command", ["caa", "metrics", "hashtag-report"])
+    def test_os_error_on_input_exit_2(self, command, name, tmp_path, capsys, data_dir):
+        (tmp_path / "loop").symlink_to("loop")
+        graph = tmp_path / "g.tsv"
+        graph.write_text("u1\tu2\nu1\tu3\nu2\tu3\n")
+        bad = tmp_path / name  # the graph for caa, the cover for the others
+        argv = {
+            "caa": ["caa", bad],
+            "metrics": ["metrics", graph, bad],
+            "hashtag-report": ["hashtag-report", graph, bad,
+                               data_dir / "user_tags_sample.tsv", "--size-lo", 1],
+        }[command]
+        assert run([*argv, "--output-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(bad) in err
+        assert not list((tmp_path / "out").iterdir())
 
     def test_input_below_a_file_exit_2(self, small_graph_file, tmp_path, capsys):
         missing = small_graph_file / "sub.tsv"

@@ -315,9 +315,16 @@ class TestCoverIO:
     def test_unknown_id(self, tmp_path):
         g = complete_graph(3)
         f = tmp_path / "cover.txt"
-        f.write_text("k00 nosuch\n")
-        with pytest.raises(EdgeListParseError):
+        f.write_text("k00 k01\n  # note\nk00 nosuch other\n")
+        # The error names the line and the first of its two unknown ids.
+        with pytest.raises(EdgeListParseError, match=r"cover\.txt:3: unknown node id 'nosuch'$"):
             load_cover(g, f)
+
+    def test_indented_comment_skipped(self, tmp_path):
+        g = complete_graph(3)
+        f = tmp_path / "cover.txt"
+        f.write_text("  # note\nk00 k01\n\t#k02 nosuch\n \t\n")
+        assert load_cover(g, f) == [frozenset({0, 1})]
 
     def test_invalid_utf8_names_file(self, tmp_path):
         g = complete_graph(3)

@@ -214,7 +214,7 @@ class TestTpr:
             expected = {
                 v
                 for t in combinations(sorted(c), 3)
-                if all(g.has_edge(a, b) for a, b in combinations(t, 2))
+                if all(b in g.adjacency[a] for a, b in combinations(t, 2))
                 for v in t
             }
             assert triangle_participants(g, c) == expected

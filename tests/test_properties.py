@@ -1,7 +1,7 @@
 """Hypothesis properties of edge-list ingest, file round trips, clique
 enumeration and order, the overlap filter, growth, the CAA pipeline, clique
-percolation, covers, the coverage, TPR and per-band figures of evaluate, and
-the band syntax.
+percolation, covers, the coverage, TPR and per-band figures of evaluate,
+community theming, and the band syntax.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -37,6 +37,7 @@ from cliquecomm.graph import (
     save_cover,
     save_edge_list,
 )
+from cliquecomm.hashtags import community_theme
 from cliquecomm.metrics import band_label, evaluate, parse_bands
 
 from oracles import (
@@ -49,6 +50,7 @@ from oracles import (
     oracle_load_edge_list,
     oracle_maximal_cliques,
     oracle_mutualize,
+    oracle_theme,
     oracle_tpr,
 )
 
@@ -276,7 +278,7 @@ def test_grow_matches_oracle(g, threshold, max_rounds, data):
     order = data.draw(st.permutations(range(g.n)))
     seed = set()
     for v in order[:data.draw(st.integers(1, g.n))]:
-        if all(g.has_edge(v, w) for w in seed):
+        if all(w in g.adjacency[v] for w in seed):
             seed.add(v)
     assert grow_community_with_rounds(g, seed, threshold, max_rounds) == oracle_grow(
         g, seed, threshold, max_rounds)
@@ -318,6 +320,21 @@ def test_coverage_and_tpr_match_oracles(g, data):
     report = evaluate(g, cover, coverage_lo=lo, coverage_hi=hi)
     assert report.coverage == oracle_desirable_coverage(g, cover, lo, hi)
     assert [tpr for _, tpr, _ in report.per_community] == [oracle_tpr(g, c) for c in cover]
+
+
+# Tag tables over members and non-members; a member may be missing or hold
+# an empty dict, and a small tag alphabet with counts 0-3 makes shared,
+# tied and zero counts common.
+@given(st.data())
+def test_community_theme_matches_oracle(data):
+    ids = [f"u{i}" for i in range(data.draw(st.integers(1, 8)))]
+    g = build_graph([], extra_nodes=ids)
+    c = data.draw(st.frozensets(st.integers(0, len(ids) - 1)))
+    tags = st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3), max_size=6)
+    table = data.draw(st.dictionaries(st.sampled_from([*ids, "other"]), tags))
+    k, top_k_community = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    assert vars(community_theme(g, c, table, k, top_k_community)) == oracle_theme(
+        g, c, table, k, top_k_community)
 
 
 @st.composite
