@@ -16,6 +16,7 @@ from .graph import (
     induced_subgraph,
     load_cover,
     load_edge_list,
+    load_node_ids,
     mutualize,
     planted_partition,
     save_cover,
@@ -67,6 +68,7 @@ __all__ = [
     "load_cover",
     "load_edge_list",
     "load_hashtags",
+    "load_node_ids",
     "mutualize",
     "planted_partition",
     "run_caa",

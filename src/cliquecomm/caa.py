@@ -29,13 +29,15 @@ class CaaParams:
 
     def __post_init__(self):
         if self.min_clique_size < 3:
-            raise ValueError("min_clique_size must be >= 3")
+            raise ValueError(f"min_clique_size must be >= 3, got {self.min_clique_size}")
         if not 0 <= threshold_fraction(self.overlapping_threshold) <= 1:
-            raise ValueError("overlapping_threshold must be in [0, 1]")
+            raise ValueError("overlapping_threshold must be in [0, 1], "
+                             f"got {self.overlapping_threshold}")
         if not 0 < threshold_fraction(self.growing_threshold) <= 1:
-            raise ValueError("growing_threshold must be in (0, 1]")
+            raise ValueError("growing_threshold must be in (0, 1], "
+                             f"got {self.growing_threshold}")
         if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass

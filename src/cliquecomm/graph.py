@@ -9,7 +9,6 @@ sorting indices sorts ids.
 from __future__ import annotations
 
 import contextlib
-import functools
 import logging
 import math
 import operator
@@ -49,10 +48,6 @@ class Graph:
         if any(map(operator.ge, self.ids, islice(self.ids, 1, None))):
             raise ValueError("graph ids must be strictly ascending")
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        return dict(zip(self.ids, range(len(self.ids))))
-
     @property
     def n(self) -> int:
         return len(self.ids)
@@ -60,9 +55,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def index_of(self, external_id: str) -> int:
-        return self._index[external_id]
 
     def edges(self):
         """Yield each undirected edge once as (i, j) with i < j."""
@@ -97,9 +89,14 @@ def _check_ids(ids) -> None:
         raise ValueError(_bad_id_message(bad))
 
 
+def _index(ids) -> dict:
+    """external id -> its index in ids."""
+    return dict(zip(ids, range(len(ids))))
+
+
 def _intern(ids, *columns) -> list:
     """Each column of external ids as a list of indices into sorted ids."""
-    index = dict(zip(ids, range(len(ids))))
+    index = _index(ids)
     return [list(map(index.__getitem__, col)) for col in columns]
 
 
@@ -191,10 +188,30 @@ def load_edge_list(path, directed: bool = False):
     raises EdgeListParseError. With directed=True the raw DirectedEdgeList
     is returned; otherwise an undirected Graph is built directly
     (symmetrized, deduplicated, self-loops dropped).
+    """
+    fields, distinct = _read_fields(path)
+    if directed:
+        return DirectedEdgeList(edges=list(zip(fields[0::2], fields[1::2])))
+    ids = sorted(distinct)
+    src, dst = _intern(ids, fields[0::2], fields[1::2])
+    del fields, distinct
+    return _from_columns(ids, src, dst)
+
+
+def load_node_ids(path) -> list:
+    """The sorted distinct node ids of an edge-list file: load_edge_list(path).ids,
+    with the same checks and errors, but no adjacency built. An id seen only
+    in self-loops is a node."""
+    return sorted(_read_fields(path)[1])
+
+
+def _read_fields(path):
+    """(fields, distinct): the ids of every edge line of an edge-list file,
+    source then target, flat, and the set of them.
 
     A file whose every line is two writable ids around one tab is cut into
-    its two id columns at once. Any other file goes through the line loop,
-    which names the line of the first malformed record.
+    its fields at once. Any other file goes through the line loop, which
+    names the line of the first malformed record.
     """
     with open_utf8(path) as fh:
         text = fh.read()
@@ -206,23 +223,15 @@ def load_edge_list(path, directed: bool = False):
     del text  # each stage drops what it has used, to keep peak memory low
     if lines[-1] == "":
         lines.pop()
-    fields = None
     if tabs == len(lines) and all(map(operator.contains, lines, repeat("\t"))):
         # Exactly one tab per line: the fields alternate source, target.
         fields = "\t".join(lines).split("\t")
         distinct = set(fields)
-        if _unwritable_id(distinct) is not None:
-            fields = None
-    if fields is None:
-        fields = _parse_lines(path, lines)
-        distinct = set(fields)
-    del lines
-    if directed:
-        return DirectedEdgeList(edges=list(zip(fields[0::2], fields[1::2])))
-    ids = sorted(distinct)
-    src, dst = _intern(ids, fields[0::2], fields[1::2])
-    del fields, distinct
-    return _from_columns(ids, src, dst)
+        if _unwritable_id(distinct) is None:
+            return fields, distinct
+        del fields, distinct
+    fields = _parse_lines(path, lines)
+    return fields, set(fields)
 
 
 def _parse_lines(path, lines) -> list:
@@ -293,18 +302,19 @@ def save_cover(g: Graph, cover: Sequence, path) -> None:
             fh.write(" ".join([ids[v] for v in sorted(c)]) + "\n")
 
 
-def load_cover(g: Graph, path) -> Cover:
-    """Read a cover file, mapping external ids back to g's indices. A line
-    with no ids, or whose first id starts with '#', is skipped."""
-    index = g._index.__getitem__
+def load_cover(ids, path) -> Cover:
+    """Read a cover file, mapping external ids to their indices in ids, a
+    graph's sorted id list. A line with no ids, or whose first id starts
+    with '#', is skipped."""
+    index = _index(ids).__getitem__
     cover = []
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            ids = line.split()
-            if not ids or ids[0][0] == "#":
+            names = line.split()
+            if not names or names[0][0] == "#":
                 continue
             try:
-                cover.append(frozenset(map(index, ids)))
+                cover.append(frozenset(map(index, names)))
             except KeyError as exc:
                 message = f"unknown node id {exc.args[0]!r}"
                 raise EdgeListParseError(path, lineno, message) from None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EdgeListParseError
-from .graph import Graph, open_utf8
+from .graph import open_utf8
 
 HashtagTable = dict  # external-node-id -> {normalized tag -> count}
 USER_TOP_K = 10  # tags per member in the pairwise Jaccard
@@ -26,11 +26,12 @@ def normalize_tag(tag: str, preserve_case: bool = False) -> str:
     return tag if preserve_case else tag.lower()
 
 
-def load_hashtags(path, preserve_case: bool = False) -> HashtagTable:
+def load_hashtags(path, preserve_case: bool = False, users=None) -> HashtagTable:
     """Read a user<TAB>hashtag<TAB>count file.
 
     '//' starts a comment line ('#' can't, hashtags begin with it). Duplicate
-    (user, tag) records sum their counts.
+    (user, tag) records sum their counts. Every line is checked, but when
+    users is given only the records of users in it are kept.
     """
     table = {}
     with open_utf8(path) as fh:
@@ -54,7 +55,7 @@ def load_hashtags(path, preserve_case: bool = False) -> HashtagTable:
                 ) from None
             if count < 0:
                 raise EdgeListParseError(path, lineno, f"negative count {count}")
-            if count == 0:
+            if count == 0 or (users is not None and user not in users):
                 continue
             tag = normalize_tag(tag, preserve_case)
             user_tags = table.setdefault(user, {})
@@ -92,20 +93,21 @@ class ThemeEntry:
 
 
 def community_theme(
-    g: Graph,
+    ids,
     c,
     table: HashtagTable,
     k: int = USER_TOP_K,
     top_k_community: int = COMMUNITY_TOP_K,
 ) -> ThemeEntry:
-    """Aggregate member hashtag counts and score theme concentration.
+    """Aggregate member hashtag counts and score theme concentration. c
+    holds indices into ids, a graph's sorted id list.
 
     Jaccard pairs and penetration are computed over members with hashtag
     data only; the missing-data count is reported alongside.
     """
     if top_k_community < 1:
         raise ValueError("top_k_community must be >= 1")
-    member_ids = [g.ids[v] for v in sorted(c)]
+    member_ids = [ids[v] for v in sorted(c)]
     tagged = [uid for uid in member_ids if table.get(uid)]
     aggregate = {}
     for uid in tagged:

@@ -226,13 +226,13 @@ def oracle_load_edge_list(path, directed=False):
     return oracle_build_graph(edges)
 
 
-def oracle_theme(g: Graph, c, table, k, top_k_community) -> dict:
+def oracle_theme(ids, c, table, k, top_k_community) -> dict:
     """community_theme's fields from per-member loops. A member has data
     when its tag dict is non-empty; its top k tags come from a full sort of
     that dict (count descending, then tag). Jaccard is averaged over every
     index pair i < j, in that order; penetration is the share of members
     with data whose top k holds the community's top tag."""
-    member_ids = sorted(g.ids[v] for v in c)
+    member_ids = sorted(ids[v] for v in c)
     aggregate = {}
     top_sets = []
     for uid in member_ids:

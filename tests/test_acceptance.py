@@ -62,10 +62,10 @@ def test_criterion_03_growth_worked_example():
     edges += [("admit", ids[i]) for i in range(7)]
     edges += [("reject", ids[i]) for i in range(6)]
     g = build_graph(edges)
-    seed = frozenset(g.index_of(i) for i in ids)
+    seed = frozenset(g.ids.index(i) for i in ids)
     grown = grow_community_with_rounds(g, seed, 0.7)[0]
-    assert g.index_of("admit") in grown
-    assert g.index_of("reject") not in grown
+    assert g.ids.index("admit") in grown
+    assert g.ids.index("reject") not in grown
     report(3, "snapshot size 10 at threshold 0.7: 7 edges admit, 6 reject")
 
 
@@ -244,6 +244,6 @@ def test_criterion_12_hashtag_fixtures():
         "b": {"a": 3, "b": 2, "d": 1},
         "c": {"a": 3, "e": 2, "f": 1},
     }
-    entry = community_theme(g, frozenset(range(3)), jtable, k=3)
+    entry = community_theme(g.ids, frozenset(range(3)), jtable, k=3)
     assert abs(entry.mean_pairwise_jaccard - 0.3) <= 1e-12
     report(12, "top-10 ranking and 3-member jaccard fixture reproduced")

@@ -30,14 +30,14 @@ def k10_plus_candidates():
 class TestGrowCommunity:
     def test_admits_at_exact_ratio(self):
         g = k10_plus_candidates()
-        seed = frozenset(g.index_of(f"m{i}") for i in range(10))
+        seed = frozenset(g.ids.index(f"m{i}") for i in range(10))
         grown = grow_community_with_rounds(g, seed, 0.7)[0]
-        assert g.index_of("x") in grown
-        assert g.index_of("y") not in grown
+        assert g.ids.index("x") in grown
+        assert g.ids.index("y") not in grown
 
     def test_rejects_below_ratio(self):
         g = k10_plus_candidates()
-        seed = frozenset(g.index_of(f"m{i}") for i in range(10))
+        seed = frozenset(g.ids.index(f"m{i}") for i in range(10))
         grown, rounds = grow_community_with_rounds(g, seed, 0.7)
         assert rounds == 1
         assert len(grown) == 11
@@ -53,9 +53,9 @@ class TestGrowCommunity:
         edges = [(g.ids[i], g.ids[j]) for i, j in g.edges()]
         edges += [("u", f"a{i}") for i in range(4)]
         g = build_graph(edges)
-        seed = frozenset(g.index_of(f"a{i}") for i in range(5))
+        seed = frozenset(g.ids.index(f"a{i}") for i in range(5))
         grown, rounds = grow_community_with_rounds(g, seed, 0.7)
-        assert grown == seed | {g.index_of("u")}
+        assert grown == seed | {g.ids.index("u")}
         assert rounds == 1
 
     def test_seed_subset_of_result(self):
@@ -71,7 +71,7 @@ class TestGrowCommunity:
 
     def test_max_rounds_cap(self):
         g = k10_plus_candidates()
-        seed = frozenset(g.index_of(f"m{i}") for i in range(10))
+        seed = frozenset(g.ids.index(f"m{i}") for i in range(10))
         grown, rounds = grow_community_with_rounds(g, seed, 0.7, max_rounds=0)
         assert rounds == 0 and grown == seed
 

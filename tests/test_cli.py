@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cliquecomm.cli as cli
-from cliquecomm import baselines, caa, metrics
+from cliquecomm import __version__, baselines, caa, hashtags, metrics
 from cliquecomm.cli import main
 from cliquecomm.errors import DeadlineExceededError
 from cliquecomm.graph import (
@@ -34,6 +34,32 @@ def small_graph_file(tmp_path):
     f = tmp_path / "graph.tsv"
     save_edge_list(g, f)
     return f
+
+
+@pytest.fixture
+def command_paths(small_graph_file, tmp_path, data_dir):
+    """The input paths of EVERY_COMMAND's placeholders."""
+    g = load_edge_list(small_graph_file)
+    save_cover(g, caa.run_caa(g), tmp_path / "cover.txt")
+    return {"graph": small_graph_file, "cover": tmp_path / "cover.txt",
+            "tags": data_dir / "user_tags_sample.tsv"}
+
+
+# One argv per subcommand, and one per sweep, over command_paths' placeholders.
+EVERY_COMMAND = [
+    ["mutualize", "{graph}"],
+    ["generate", "--blocks", "2", "--block-size", "5", "--p-in", "0.5", "--p-out", "0"],
+    ["caa", "{graph}"],
+    ["lp", "{graph}"],
+    ["cpm", "{graph}", "--k", "3"],
+    ["metrics", "{graph}", "{cover}"],
+    ["sweep", "{graph}", "--sweep", "growing", "--grid", "0.7"],
+    ["sweep", "{graph}", "--sweep", "overlapping", "--grid", "0.5",
+     "--min-clique-size", "3"],
+    ["hashtag-report", "{graph}", "{cover}", "{tags}"],
+]
+EVERY_COMMAND_IDS = ["mutualize", "generate", "caa", "lp", "cpm", "metrics", "sweep-growing",
+                     "sweep-overlapping", "hashtag-report"]
 
 
 def run(args):
@@ -112,7 +138,7 @@ class TestDetectors:
         ]) == 0
         g = load_edge_list(small_graph_file)
         expected = caa.run_caa(g, caa.CaaParams())
-        assert load_cover(g, tmp_path / "caa_cover.txt") == expected
+        assert load_cover(g.ids, tmp_path / "caa_cover.txt") == expected
 
     def test_cpm_two_triangles(self, tmp_path):
         src = tmp_path / "g.tsv"
@@ -124,7 +150,7 @@ class TestDetectors:
         assert run(["lp", small_graph_file, "--seed", 5, "--output-dir", tmp_path]) == 0
         g = load_edge_list(small_graph_file)
         expected = baselines.label_propagation(g, baselines.LpParams(rng_seed=5))
-        assert load_cover(g, tmp_path / "lp_cover.txt") == expected
+        assert load_cover(g.ids, tmp_path / "lp_cover.txt") == expected
 
     def test_repeat_runs_byte_identical(self, small_graph_file, tmp_path):
         outputs = []
@@ -178,6 +204,12 @@ class TestDetectors:
         assert run(["caa", f, "--output-dir", tmp_path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {f}:1: node id 'a b' ")
         assert not (tmp_path / "caa_cover.txt").exists()
+
+    def test_bad_growing_threshold_named_exit_1(self, small_graph_file, tmp_path, capsys):
+        assert run(["caa", small_graph_file, "--growing-threshold", 0,
+                    "--output-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: growing_threshold must be in (0, 1], got 0.0")
 
     def test_resource_cap_exit_3(self, small_graph_file, tmp_path):
         assert run([
@@ -366,6 +398,16 @@ class TestSweep:
         assert capsys.readouterr().err.count("error:") == 1
         assert not (tmp_path / f"sweep_{sweep}.csv").exists()
 
+    @pytest.mark.parametrize("sweep, grid, named", [
+        ("growing", "0.5,0,0.7", "growing_threshold must be in (0, 1], got 0.0"),
+        ("overlapping", "0,0.5,1.5", "overlapping_threshold must be in [0, 1], got 1.5"),
+    ])
+    def test_bad_grid_value_named_exit_1(self, sweep, grid, named, small_graph_file,
+                                         tmp_path, capsys):
+        assert run(["sweep", small_graph_file, "--sweep", sweep, "--grid", grid,
+                    "--output-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     def test_overlapping_sweep_accepts_floor_below_3(self, small_graph_file, tmp_path):
         assert run([
             "sweep", small_graph_file, "--sweep", "overlapping", "--grid", "0,1",
@@ -427,6 +469,53 @@ class TestHashtagReport:
             "hashtag-report", graph_file, cover_file, data_dir / "user_tags_sample.tsv",
             "--size-lo", size_lo, flag, value, "--output-dir", tmp_path,
         ]) == 1
+        assert not (tmp_path / "hashtag_report.json").exists()
+
+    @pytest.fixture
+    def two_communities(self, tmp_path, data_dir):
+        """A graph and cover whose triangle u1-u3 is the one community of
+        size 3 or more, and a tag file that also holds u4's tags."""
+        graph_file = tmp_path / "g.tsv"
+        graph_file.write_text("u1\tu2\nu1\tu3\nu2\tu3\nu4\tu5\n")
+        cover_file = tmp_path / "cover.txt"
+        cover_file.write_text("u1 u2 u3\nu4 u5\n")
+        tags_file = tmp_path / "tags.tsv"
+        tags_file.write_text((data_dir / "user_tags_sample.tsv").read_text()
+                             + "u4\t#Lonely\t9\n")
+        return graph_file, cover_file, tags_file
+
+    def test_reads_no_adjacency_and_themes_as_full_tables(self, two_communities, tmp_path,
+                                                          monkeypatch):
+        graph_file, cover_file, tags_file = two_communities
+        # The report from the whole graph and the whole tag table.
+        g = load_edge_list(graph_file)
+        sample = hashtags.sample_communities(load_cover(g.ids, cover_file), 3, 150, 50, 0)
+        table = hashtags.load_hashtags(tags_file)
+        expected = cli._write_json(tmp_path / "expected.json", [
+            vars(hashtags.community_theme(g.ids, c, table)) for c in sample])
+
+        def no_adjacency(*args, **kwargs):
+            raise AssertionError("hashtag-report built the graph")
+        monkeypatch.setattr(cli, "load_edge_list", no_adjacency)
+        outdir = tmp_path / "out"
+        assert run(["hashtag-report", *two_communities, "--size-lo", 3,
+                    "--output-dir", outdir]) == 0
+        assert (outdir / "hashtag_report.json").read_bytes() == expected.read_bytes()
+        assert (outdir / "hashtag_report.txt").read_text() == (
+            "community of 3 users | top tags: #gopdebate 166, #tcot 104, #trump 82, "
+            "#pjnet 77, #usarmy 74, #pray 51, #unbornlivesmatter 45, #catholic 26, "
+            "#jesus 25, #trump2016 25, #chooselife 22, #brexit 19, #freedom 5\n"
+            "  mean pairwise top-10 jaccard: 0.083; top-tag penetration: 0.500; "
+            "members without data: 1\n")
+
+    def test_bad_line_of_unsampled_user_exit_2(self, two_communities, tmp_path, capsys):
+        graph_file, cover_file, tags_file = two_communities
+        lines = tags_file.read_text().splitlines(keepends=True)
+        lines.insert(3, "u4\t#x\tmany\n")  # u4's community is below --size-lo
+        tags_file.write_text("".join(lines))
+        assert run(["hashtag-report", *two_communities, "--size-lo", 3,
+                    "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == f"error: {tags_file}:4: bad count 'many'\n"
         assert not (tmp_path / "hashtag_report.json").exists()
 
     def test_inverted_size_range_exit_1(self, tmp_path, capsys):
@@ -556,32 +645,17 @@ class TestExitCodes:
         finally:
             sys.setrecursionlimit(limit)
         assert code == 0
-        assert load_cover(g, tmp_path / "caa_cover.txt") == [frozenset(range(1100))]
+        assert load_cover(g.ids, tmp_path / "caa_cover.txt") == [frozenset(range(1100))]
 
 
 class TestTimeout:
     """--timeout-secs is one timer over the whole run of every subcommand."""
 
-    @pytest.mark.parametrize("argv", [
-        ["mutualize", "{graph}"],
-        ["generate", "--blocks", "2", "--block-size", "5", "--p-in", "0.5", "--p-out", "0"],
-        ["caa", "{graph}"],
-        ["lp", "{graph}"],
-        ["cpm", "{graph}", "--k", "3"],
-        ["metrics", "{graph}", "{cover}"],
-        ["sweep", "{graph}", "--sweep", "growing", "--grid", "0.7"],
-        ["sweep", "{graph}", "--sweep", "overlapping", "--grid", "0.5",
-         "--min-clique-size", "3"],
-        ["hashtag-report", "{graph}", "{cover}", "{tags}"],
-    ], ids=["mutualize", "generate", "caa", "lp", "cpm", "metrics", "sweep-growing",
-            "sweep-overlapping", "hashtag-report"])
-    def test_slow_first_call_exit_3(self, argv, small_graph_file, tmp_path, data_dir,
-                                    monkeypatch, capsys):
-        g = load_edge_list(small_graph_file)
-        save_cover(g, caa.run_caa(g), tmp_path / "cover.txt")
-        paths = {"graph": small_graph_file, "cover": tmp_path / "cover.txt",
-                 "tags": data_dir / "user_tags_sample.tsv"}
-        first = "planted_partition" if argv[0] == "generate" else "load_edge_list"
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=EVERY_COMMAND_IDS)
+    def test_slow_first_call_exit_3(self, argv, command_paths, tmp_path, monkeypatch,
+                                    capsys):
+        first = {"generate": "planted_partition",
+                 "hashtag-report": "load_node_ids"}.get(argv[0], "load_edge_list")
         real = getattr(cli, first)
 
         def slow(*args, **kwargs):
@@ -592,7 +666,7 @@ class TestTimeout:
         handler = signal.getsignal(signal.SIGALRM)
         outdir = tmp_path / "out"
         started = time.monotonic()
-        assert run([*(a.format(**paths) for a in argv),
+        assert run([*(a.format(**command_paths) for a in argv),
                     "--timeout-secs", 0.1, "--output-dir", outdir]) == 3
         assert time.monotonic() - started < 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -696,6 +770,16 @@ class TestManifests:
         if command == "caa":
             assert sum(manifest["rounds_histogram"].values()) == manifest["seed_count"]
         assert not {"func", "detector"} & set(manifest["params"])
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=EVERY_COMMAND_IDS)
+    def test_version_and_peak_rss(self, argv, command_paths, tmp_path):
+        outdir = tmp_path / "out"
+        assert run([*(a.format(**command_paths) for a in argv), "--output-dir", outdir]) == 0
+        manifest = json.loads(
+            (outdir / f"manifest_{argv[0].replace('-', '_')}.json").read_text())
+        assert manifest["version"] == __version__
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < manifest["peak_rss_mib"] <= round(peak, 1)
 
     def test_every_run_writes_one(self, small_graph_file, tmp_path):
         assert run(["lp", small_graph_file, "--output-dir", tmp_path]) == 0

@@ -37,7 +37,7 @@ class TestEnumerate:
     def test_min_size_filters_output_only(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         cs = enumerate_maximal_cliques(g, 3)
-        assert cs.cliques == [frozenset(map(g.index_of, "abc"))]
+        assert cs.cliques == [frozenset(map(g.ids.index, "abc"))]
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("seed", range(10))

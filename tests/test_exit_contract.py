@@ -143,6 +143,6 @@ def test_exit_contract(data):
         assert all(Path(p).is_file() for p in manifest["outputs"])
         for p in manifest["outputs"]:
             if p.endswith("_cover.txt"):
-                load_cover(load_edge_list(argv[1]), p)
+                load_cover(load_edge_list(argv[1]).ids, p)
             elif p.endswith(".tsv"):
                 load_edge_list(p)

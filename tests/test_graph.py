@@ -12,6 +12,7 @@ from cliquecomm.graph import (
     induced_subgraph,
     load_cover,
     load_edge_list,
+    load_node_ids,
     mutualize,
     planted_partition,
     save_cover,
@@ -168,6 +169,12 @@ class TestEdgeListIO:
         g = load_edge_list(f)
         assert g.ids == ["a", "b", "c"] and g.m == 3
 
+    def test_node_ids_keep_self_loop_only_ids(self, tmp_path, monkeypatch):
+        f = tmp_path / "e.tsv"
+        f.write_text("b\tb\nc\ta\n# d\te\n")
+        monkeypatch.setattr(graph_module, "_from_columns", None)  # no adjacency
+        assert load_node_ids(f) == ["a", "b", "c"]
+
     @pytest.mark.parametrize("last", ["x\t#y", "x\t \u2028", "x\ty\tz", "x"])
     def test_bad_last_of_many_clean_lines(self, tmp_path, last):
         # The column path reads the whole file before it can reject it; the
@@ -258,8 +265,8 @@ class TestIdOrder:
         # 12 blocks of 11: "10-0" < "2-0" and "0-10" < "0-2" as strings
         g = planted_partition(12, 11, 0.5, 0.05, 0)
         assert g.ids == sorted(set(g.ids))
-        assert g.index_of("10-0") < g.index_of("2-0")
-        assert g.index_of("0-10") < g.index_of("0-2")
+        assert g.ids.index("10-0") < g.ids.index("2-0")
+        assert g.ids.index("0-10") < g.ids.index("0-2")
         assert_graph_invariants(g)
 
 
@@ -310,7 +317,7 @@ class TestCoverIO:
         cover = sort_cover([frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({4})])
         f = tmp_path / "cover.txt"
         save_cover(g, cover, f)
-        assert load_cover(g, f) == cover
+        assert load_cover(g.ids, f) == cover
 
     def test_unknown_id(self, tmp_path):
         g = complete_graph(3)
@@ -318,26 +325,26 @@ class TestCoverIO:
         f.write_text("k00 k01\n  # note\nk00 nosuch other\n")
         # The error names the line and the first of its two unknown ids.
         with pytest.raises(EdgeListParseError, match=r"cover\.txt:3: unknown node id 'nosuch'$"):
-            load_cover(g, f)
+            load_cover(g.ids, f)
 
     def test_indented_comment_skipped(self, tmp_path):
         g = complete_graph(3)
         f = tmp_path / "cover.txt"
         f.write_text("  # note\nk00 k01\n\t#k02 nosuch\n \t\n")
-        assert load_cover(g, f) == [frozenset({0, 1})]
+        assert load_cover(g.ids, f) == [frozenset({0, 1})]
 
     def test_invalid_utf8_names_file(self, tmp_path):
         g = complete_graph(3)
         f = tmp_path / "cover.txt"
         f.write_bytes(b"k00 k01\n\xff k02\n")
         with pytest.raises(InputError, match="cover.txt: not UTF-8"):
-            load_cover(g, f)
+            load_cover(g.ids, f)
 
     def test_leading_byte_order_mark_dropped(self, tmp_path):
         g = complete_graph(3)
         f = tmp_path / "cover.txt"
         f.write_bytes("\ufeffk00 k01\nk02\n".encode())
-        assert load_cover(g, f) == [frozenset({0, 1}), frozenset({2})]
+        assert load_cover(g.ids, f) == [frozenset({0, 1}), frozenset({2})]
 
     def test_sort_order(self):
         g = gnp(6, 1.0, 0)

@@ -113,7 +113,7 @@ class TestCommunityTheme:
         users = ["a", "b", "c"]
         g = self.make_graph(users)
         table = {u: {"x": 5, "y": 3} for u in users}
-        entry = community_theme(g, frozenset(range(3)), table)
+        entry = community_theme(g.ids, frozenset(range(3)), table)
         assert entry.mean_pairwise_jaccard == 1.0
         assert entry.top_tag_penetration == 1.0
 
@@ -121,7 +121,7 @@ class TestCommunityTheme:
         users = ["a", "b"]
         g = self.make_graph(users)
         table = {"a": {"x": 1}, "b": {"y": 1}}
-        entry = community_theme(g, frozenset(range(2)), table)
+        entry = community_theme(g.ids, frozenset(range(2)), table)
         assert entry.mean_pairwise_jaccard == 0.0
 
     def test_three_member_jaccard(self):
@@ -132,7 +132,7 @@ class TestCommunityTheme:
             "b": {"a": 3, "b": 2, "d": 1},
             "c": {"a": 3, "e": 2, "f": 1},
         }
-        entry = community_theme(g, frozenset(range(3)), table, k=3)
+        entry = community_theme(g.ids, frozenset(range(3)), table, k=3)
         assert entry.mean_pairwise_jaccard == pytest.approx(0.3, abs=1e-12)
 
     def test_aggregate_is_member_sum(self):
@@ -143,7 +143,7 @@ class TestCommunityTheme:
             "b": {"x": 2},
             "c": {"y": 10, "z": 4},
         }
-        entry = community_theme(g, frozenset(range(3)), table)
+        entry = community_theme(g.ids, frozenset(range(3)), table)
         got = dict(entry.top_tags)
         expected = {}
         for u in users:
@@ -155,7 +155,7 @@ class TestCommunityTheme:
         users = ["a", "b", "c"]
         g = self.make_graph(users)
         table = {"a": {"x": 1}}
-        entry = community_theme(g, frozenset(range(3)), table)
+        entry = community_theme(g.ids, frozenset(range(3)), table)
         assert entry.members_with_data == 1
         assert entry.members_missing_data == 2
         assert entry.mean_pairwise_jaccard is None
@@ -164,7 +164,8 @@ class TestCommunityTheme:
     def test_community_top_k_validation(self, top_k):
         g = self.make_graph(["a", "b"])
         with pytest.raises(ValueError, match="top_k_community"):
-            community_theme(g, frozenset(range(2)), {"a": {"x": 1}}, top_k_community=top_k)
+            community_theme(g.ids, frozenset(range(2)), {"a": {"x": 1}},
+                            top_k_community=top_k)
 
     def test_jaccard_properties(self):
         assert jaccard({1, 2}, {1, 2}) == 1.0

@@ -204,7 +204,7 @@ class TestTpr:
     def test_only_internal_triangles_count(self):
         # the triangle uses node d; restricted to {a, b, d} it disappears
         g = build_graph([("a", "b"), ("b", "d"), ("a", "d"), ("a", "c")])
-        assert tpr(g, frozenset(g.index_of(x) for x in "abc")) == 0.0
+        assert tpr(g, frozenset(g.ids.index(x) for x in "abc")) == 0.0
 
     def test_matches_brute_force(self):
         g = gnp(14, 0.45, 12)
@@ -257,4 +257,4 @@ class TestEvaluate:
         cover = sort_cover(random_partition(g.n, 4, 1))
         f = tmp_path / "cover.txt"
         save_cover(g, cover, f)
-        assert evaluate(g, load_cover(g, f)) == evaluate(g, cover)
+        assert evaluate(g, load_cover(g.ids, f)) == evaluate(g, cover)

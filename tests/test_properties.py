@@ -1,7 +1,7 @@
 """Hypothesis properties of edge-list ingest, file round trips, clique
 enumeration and order, the overlap filter, growth, the CAA pipeline, clique
 percolation, covers, the coverage, TPR and per-band figures of evaluate,
-community theming, and the band syntax.
+tag-file reading, community theming, and the band syntax.
 
 "Growth is monotone in the threshold" is deliberately absent: the admission
 bar t * |C| rises as C grows, so a lower threshold can admit a node early
@@ -33,11 +33,12 @@ from cliquecomm.graph import (
     build_graph,
     load_cover,
     load_edge_list,
+    load_node_ids,
     mutualize,
     save_cover,
     save_edge_list,
 )
-from cliquecomm.hashtags import community_theme
+from cliquecomm.hashtags import community_theme, load_hashtags
 from cliquecomm.metrics import band_label, evaluate, parse_bands
 
 from oracles import (
@@ -182,6 +183,45 @@ def test_load_edge_list_matches_oracle(text):
                 assert (got.ids, got.adjacency) == (want.ids, want.adjacency)
 
 
+# The id reader shares load_edge_list's parser: the same ids, self-loop-only
+# ones included, or the same first error.
+@given(edge_files())
+def test_load_node_ids_matches_load_edge_list(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        want = load_or_error(load_edge_list, path)
+        if not isinstance(want, tuple):
+            want = want.ids
+        assert load_or_error(load_node_ids, path) == want
+
+
+# Tag files with comments, blank lines, zero and duplicate counts, folded
+# case, and lines with a wrong field count, an empty field or a bad count,
+# read whole and for a drawn set of users (perhaps empty, perhaps naming
+# users the file lacks).
+tag_users = st.sampled_from(["u1", "u2", "u3"])
+tag_lines = (
+    st.tuples(tag_users, st.sampled_from(["#a", "#A", "b"]),
+              st.sampled_from(["0", "1", "2", " 3"])).map("\t".join)
+    | st.sampled_from(["", "  ", "// note", "u1\t#a", "u2\t\t1", "u3\t#a\tx",
+                       "u1\t#a\t-1", "u2\t#a\t1\t1"])
+)
+
+
+@given(st.lists(tag_lines, max_size=12), st.frozensets(st.sampled_from(["u1", "u2", "u4"])),
+       st.booleans())
+def test_load_hashtags_for_users_is_the_restricted_table(lines, users, preserve_case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tags.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        full = load_or_error(load_hashtags, path, preserve_case=preserve_case)
+        got = load_or_error(load_hashtags, path, preserve_case=preserve_case, users=users)
+    if isinstance(full, dict):
+        full = {user: tags for user, tags in full.items() if user in users}
+    assert got == full
+
+
 def accepted(v) -> bool:
     try:
         build_graph([], extra_nodes=[v])
@@ -199,7 +239,7 @@ def test_cover_round_trip(data):
     g = build_graph([], extra_nodes=ids)
     member = st.integers(0, g.n - 1)
     cover = data.draw(st.lists(st.frozensets(member, min_size=1), max_size=8))
-    assert round_trip(save_cover, lambda p: load_cover(g, p), g, cover) == cover
+    assert round_trip(save_cover, lambda p: load_cover(g.ids, p), g, cover) == cover
 
 
 # min_size above 2 exercises the size bound on branches and outer vertices;
@@ -333,8 +373,8 @@ def test_community_theme_matches_oracle(data):
     tags = st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3), max_size=6)
     table = data.draw(st.dictionaries(st.sampled_from([*ids, "other"]), tags))
     k, top_k_community = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    assert vars(community_theme(g, c, table, k, top_k_community)) == oracle_theme(
-        g, c, table, k, top_k_community)
+    assert vars(community_theme(g.ids, c, table, k, top_k_community)) == oracle_theme(
+        g.ids, c, table, k, top_k_community)
 
 
 @st.composite
