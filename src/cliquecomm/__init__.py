@@ -1,7 +1,7 @@
 """Clique-seeded overlapping community detection and evaluation toolkit."""
 
 from .baselines import CpmParams, LpParams, clique_percolation, label_propagation
-from .caa import CaaParams, CaaRunSummary, grow_community_with_rounds, run_caa
+from .caa import CaaParams, grow_community_with_rounds, run_caa
 from .cliques import CliqueSet, enumerate_maximal_cliques, filter_overlapping
 from .errors import (
     CliquecommError,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaaParams",
-    "CaaRunSummary",
     "CliqueSet",
     "CliquecommError",
     "CpmParams",

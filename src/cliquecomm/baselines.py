@@ -17,7 +17,7 @@ class LpParams:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class CpmParams:
 
     def __post_init__(self):
         if self.k < 3:
-            raise ValueError("k must be >= 3")
+            raise ValueError(f"k must be >= 3, got {self.k}")
 
 
 def label_propagation(g: Graph, p: LpParams = LpParams()):

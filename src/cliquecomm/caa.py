@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .cliques import (
@@ -15,8 +14,6 @@ from .cliques import (
     threshold_fraction,
 )
 from .graph import Graph, sort_cover
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -30,20 +27,10 @@ class CaaParams:
     def __post_init__(self):
         if self.min_clique_size < 3:
             raise ValueError(f"min_clique_size must be >= 3, got {self.min_clique_size}")
-        if not 0 <= threshold_fraction(self.overlapping_threshold) <= 1:
-            raise ValueError("overlapping_threshold must be in [0, 1], "
-                             f"got {self.overlapping_threshold}")
-        if not 0 < threshold_fraction(self.growing_threshold) <= 1:
-            raise ValueError("growing_threshold must be in (0, 1], "
-                             f"got {self.growing_threshold}")
+        threshold_fraction(self.overlapping_threshold, "overlapping_threshold")
+        threshold_fraction(self.growing_threshold, "growing_threshold", above_zero=True)
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-
-
-@dataclass
-class CaaRunSummary:
-    seed_count: int = 0
-    rounds_histogram: dict = field(default_factory=dict)
 
 
 def grow_community_with_rounds(
@@ -62,9 +49,7 @@ def grow_community_with_rounds(
     community = set(seed)
     if not is_clique(g, community):
         raise ValueError("seed is not a clique in the graph")
-    t = threshold_fraction(growing_threshold)
-    if not 0 < t <= 1:
-        raise ValueError(f"growing threshold must be in (0, 1], got {t}")
+    t = threshold_fraction(growing_threshold, "growing_threshold", above_zero=True)
     num, den = t.numerator, t.denominator
 
     # node -> its edges into C, members included
@@ -84,34 +69,28 @@ def grow_community_with_rounds(
 def run_caa(
     g: Graph,
     params: CaaParams = CaaParams(),
-    summary: CaaRunSummary | None = None,
+    rounds: list | None = None,
 ):
     """Full pipeline: enumerate cliques, filter seeds, grow, dedup, sort."""
     cliques = enumerate_maximal_cliques(g, params.min_clique_size, params.max_cliques)
     seeds = filter_overlapping(cliques, params.overlapping_threshold)
-    return grow_seeds(g, seeds.cliques, params, summary)
+    return grow_seeds(g, seeds.cliques, params, rounds)
 
 
 def grow_seeds(
     g: Graph,
     seeds,
     params: CaaParams = CaaParams(),
-    summary: CaaRunSummary | None = None,
+    rounds: list | None = None,
 ):
     """Grow each seed clique under params' growth rule, then dedup and sort.
 
     Only growing_threshold and max_rounds are read from params; the seeds
     are taken as given, so one filtered seed list serves many thresholds.
+    Given a list as rounds, appends each seed's round count in seed order.
     """
     t = threshold_fraction(params.growing_threshold)
     grown = [grow_community_with_rounds(g, seed, t, params.max_rounds) for seed in seeds]
-
-    cover = sort_cover({c for c, _ in grown})
-    if summary is not None:
-        summary.seed_count = len(grown)
-        hist = {}
-        for _, rounds in grown:
-            hist[rounds] = hist.get(rounds, 0) + 1
-        summary.rounds_histogram = dict(sorted(hist.items()))
-    logger.info("caa: %d seeds -> %d communities", len(grown), len(cover))
-    return cover
+    if rounds is not None:
+        rounds.extend(r for _, r in grown)
+    return sort_cover({c for c, _ in grown})

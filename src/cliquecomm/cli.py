@@ -16,6 +16,7 @@ import json
 import signal
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__, baselines, caa, hashtags, metrics
@@ -134,7 +135,12 @@ def _wall_clock_budget(seconds):
 
 
 def _parse_grid(text: str):
-    grid = [float(x) for x in text.split(",") if x.strip()]
+    grid = []
+    for x in filter(str.strip, text.split(",")):
+        try:
+            grid.append(float(x))
+        except ValueError:
+            raise ValueError(f"--grid value {x.strip()!r} is not a number") from None
     if not grid:
         raise ValueError(f"--grid has no values: {text!r}")
     return grid
@@ -181,11 +187,11 @@ def _detect_caa(g, args):
         max_rounds=args.max_rounds,
         max_cliques=args.max_cliques,
     )
-    summary = caa.CaaRunSummary()
-    cover = caa.run_caa(g, params, summary=summary)
+    rounds = []
+    cover = caa.run_caa(g, params, rounds=rounds)
     return cover, {
-        "seed_count": summary.seed_count,
-        "rounds_histogram": {str(k): v for k, v in summary.rounds_histogram.items()},
+        "seed_count": len(rounds),
+        "rounds_histogram": {str(k): v for k, v in sorted(Counter(rounds).items())},
     }
 
 

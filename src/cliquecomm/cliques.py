@@ -20,18 +20,23 @@ class CliqueSet:
     cliques: list  # list[frozenset[int]]
 
 
-def threshold_fraction(t) -> Fraction:
-    """Exact rational form of a user-supplied threshold.
+def threshold_fraction(t, name: str = "threshold", above_zero: bool = False) -> Fraction:
+    """Exact rational form of a user-supplied threshold in [0, 1], or in
+    (0, 1] when above_zero is set: the one range rule of both thresholds.
 
-    Floats are interpreted through their shortest decimal repr (0.7 means
-    7/10, not the nearest binary double), so worked ratios like 0.7 * 10
-    compare exactly.
+    Floats, numpy's included, are interpreted through their shortest
+    decimal form (0.7 means 7/10, not the nearest binary double), so
+    worked ratios like 0.7 * 10 compare exactly. Out of range, or not a
+    number at all (nan, inf, "abc"), t raises a ValueError that names the
+    threshold and shows t as given: "NAME must be in [0, 1], got T".
     """
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, float):
-        return Fraction(repr(t))
-    return Fraction(t)
+    try:
+        f = Fraction(str(t) if isinstance(t, float) else t)
+    except (TypeError, ValueError, OverflowError):
+        f = None
+    if f is None or f > 1 or f < 0 or (above_zero and f == 0):
+        raise ValueError(f"{name} must be in {'(0' if above_zero else '[0'}, 1], got {t}")
+    return f
 
 
 def sort_cliques(cliques) -> list:
@@ -84,7 +89,7 @@ def enumerate_maximal_cliques(
     Raises ResourceLimitError past max_cliques.
     """
     if min_size < 1:
-        raise ValueError("min_size must be >= 1")
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
     adj = g.adjacency
     out = []
     stack = []
@@ -161,9 +166,7 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
     (t <= 1), and at threshold 1 on size-sorted input it is empty, so
     nothing is compared.
     """
-    t = threshold_fraction(overlapping_threshold)
-    if not 0 <= t <= 1:
-        raise ValueError(f"overlapping threshold must be in [0, 1], got {t}")
+    t = threshold_fraction(overlapping_threshold, "overlapping_threshold")
     num, den = t.numerator, t.denominator
 
     kept = []

@@ -341,7 +341,8 @@ def planted_partition(
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if k_blocks < 1 or block_size < 1:
-        raise ValueError("k_blocks and block_size must be >= 1")
+        raise ValueError("k_blocks and block_size must be >= 1, "
+                         f"got k_blocks={k_blocks}, block_size={block_size}")
 
     import numpy as np  # only generate needs it; the other commands skip its import
 

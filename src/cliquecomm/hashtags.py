@@ -71,7 +71,7 @@ def _ranked(counts: dict) -> list:
 def user_top_k(table: HashtagTable, user: str, k: int = USER_TOP_K) -> list:
     """Top-k (tag, count) for one user, ties broken lexicographically."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be >= 1, got {k}")
     return _ranked(table.get(user, {}))[:k]
 
 
@@ -105,8 +105,10 @@ def community_theme(
     Jaccard pairs and penetration are computed over members with hashtag
     data only; the missing-data count is reported alongside.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if top_k_community < 1:
-        raise ValueError("top_k_community must be >= 1")
+        raise ValueError(f"top_k_community must be >= 1, got {top_k_community}")
     member_ids = [ids[v] for v in sorted(c)]
     tagged = [uid for uid in member_ids if table.get(uid)]
     aggregate = {}
@@ -144,7 +146,7 @@ def sample_communities(cover, size_lo: int, size_hi: int, count: int, rng_seed: 
     count qualify.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
     if size_lo > size_hi:
         raise ValueError(f"size range [{size_lo}, {size_hi}] is empty: size_lo is above size_hi")
     qualifying = [c for c in cover if size_lo <= len(c) <= size_hi]

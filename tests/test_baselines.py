@@ -59,7 +59,7 @@ class TestLabelPropagation:
         assert a == b
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_iterations must be >= 1, got 0$"):
             LpParams(max_iterations=0)
 
 
@@ -98,5 +98,5 @@ class TestCliquePercolation:
             assert len(c) >= 3
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k must be >= 3, got 2$"):
             CpmParams(k=2)

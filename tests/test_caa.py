@@ -6,7 +6,6 @@ import pytest
 from cliquecomm import caa
 from cliquecomm.caa import (
     CaaParams,
-    CaaRunSummary,
     grow_community_with_rounds,
     run_caa,
 )
@@ -68,6 +67,13 @@ class TestGrowCommunity:
         g = gnp(10, 0.2, 0)
         with pytest.raises(ValueError):
             grow_community_with_rounds(g, frozenset(range(10)), 0.7)
+
+    def test_threshold_shown_as_given(self):
+        g = k10_plus_candidates()
+        seed = frozenset(g.ids.index(f"m{i}") for i in range(10))
+        with pytest.raises(ValueError,
+                           match=r"^growing_threshold must be in \(0, 1\], got 1\.5$"):
+            grow_community_with_rounds(g, seed, 1.5)
 
     def test_max_rounds_cap(self):
         g = k10_plus_candidates()
@@ -163,11 +169,10 @@ class TestRunCaa:
 
     def test_summary_populated(self):
         g = two_k5()
-        summary = CaaRunSummary()
-        cover = run_caa(g, summary=summary)
-        assert summary.seed_count == 2
+        rounds = []
+        cover = run_caa(g, rounds=rounds)
+        assert rounds == [0, 0]
         assert len(cover) == 2
-        assert sum(summary.rounds_histogram.values()) == 2
 
     def test_seed_members_keep_triangles(self):
         g = planted_partition(2, 20, 0.6, 0.05, 9)

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import cliquecomm.cli as cli
 from cliquecomm import __version__, baselines, caa, hashtags, metrics
 from cliquecomm.cli import main
+from cliquecomm.cliques import enumerate_maximal_cliques, filter_overlapping
 from cliquecomm.errors import DeadlineExceededError
 from cliquecomm.graph import (
     build_graph,
@@ -211,6 +213,21 @@ class TestDetectors:
         err = capsys.readouterr().err
         assert err.startswith("error: growing_threshold must be in (0, 1], got 0.0")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["caa", "--growing-threshold", "nan"], "growing_threshold must be in (0, 1], got nan"),
+        (["caa", "--overlapping-threshold", "inf"],
+         "overlapping_threshold must be in [0, 1], got inf"),
+        (["lp", "--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
+        (["cpm", "--k", "2"], "k must be >= 3, got 2"),
+        (["sweep", "--sweep", "overlapping", "--grid", "0.5", "--min-clique-size", "0"],
+         "min_size must be >= 1, got 0"),
+    ], ids=["caa-nan", "caa-inf", "lp", "cpm", "sweep"])
+    def test_bad_parameter_named_exit_1(self, argv, message, small_graph_file, tmp_path,
+                                        capsys):
+        assert run([argv[0], small_graph_file, *argv[1:], "--output-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("manifest_*.json"))
+
     def test_resource_cap_exit_3(self, small_graph_file, tmp_path):
         assert run([
             "caa", small_graph_file, "--max-cliques", 1, "--output-dir", tmp_path,
@@ -401,6 +418,9 @@ class TestSweep:
     @pytest.mark.parametrize("sweep, grid, named", [
         ("growing", "0.5,0,0.7", "growing_threshold must be in (0, 1], got 0.0"),
         ("overlapping", "0,0.5,1.5", "overlapping_threshold must be in [0, 1], got 1.5"),
+        ("overlapping", "0,nan", "overlapping_threshold must be in [0, 1], got nan"),
+        ("growing", "0.5,abc", "--grid value 'abc' is not a number"),
+        ("overlapping", "0.5,abc", "--grid value 'abc' is not a number"),
     ])
     def test_bad_grid_value_named_exit_1(self, sweep, grid, named, small_graph_file,
                                          tmp_path, capsys):
@@ -770,6 +790,19 @@ class TestManifests:
         if command == "caa":
             assert sum(manifest["rounds_histogram"].values()) == manifest["seed_count"]
         assert not {"func", "detector"} & set(manifest["params"])
+
+    def test_rounds_histogram_counts_run_caa_rounds(self, small_graph_file, tmp_path):
+        g = load_edge_list(small_graph_file)
+        seeds = filter_overlapping(enumerate_maximal_cliques(g, 3), 0).cliques
+        rounds = []
+        caa.run_caa(g, rounds=rounds)
+        # one count per kept seed, in seed order
+        assert rounds == [caa.grow_community_with_rounds(g, s, 0.7)[1] for s in seeds]
+        assert max(rounds) >= 1
+        assert run(["caa", small_graph_file, "--output-dir", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest_caa.json").read_text())
+        assert manifest["seed_count"] == len(rounds)
+        assert Counter(rounds) == {int(k): v for k, v in manifest["rounds_histogram"].items()}
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=EVERY_COMMAND_IDS)
     def test_version_and_peak_rss(self, argv, command_paths, tmp_path):

@@ -85,7 +85,7 @@ class TestEnumerate:
             enumerate_maximal_cliques(g, 1, max_cliques=2)
 
     def test_min_size_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^min_size must be >= 1, got 0$"):
             enumerate_maximal_cliques(complete_graph(3), 0)
 
 
@@ -177,7 +177,8 @@ class TestFilterOverlapping:
 
     def test_threshold_out_of_range(self):
         cs = self.make_set({0, 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^overlapping_threshold must be in \[0, 1\], got 1\.5$"):
             filter_overlapping(cs, 1.5)
 
 
@@ -188,3 +189,20 @@ class TestThresholdFraction:
         assert threshold_fraction(0.7) == Fraction(7, 10)
         assert threshold_fraction("0.3") == Fraction(3, 10)
         assert threshold_fraction(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_numpy_float_read_as_decimal(self):
+        from fractions import Fraction
+
+        import numpy as np
+
+        assert threshold_fraction(np.float64(0.7)) == Fraction(7, 10)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), "abc", 1.5, -0.1])
+    def test_rejected_value_shown_as_given(self, t):
+        with pytest.raises(ValueError, match=rf"^t must be in \[0, 1\], got {t}$"):
+            threshold_fraction(t, "t")
+
+    def test_above_zero_excludes_zero_only(self):
+        assert threshold_fraction(1, above_zero=True) == 1
+        with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\], got 0\.0$"):
+            threshold_fraction(0.0, above_zero=True)

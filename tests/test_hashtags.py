@@ -160,6 +160,11 @@ class TestCommunityTheme:
         assert entry.members_missing_data == 2
         assert entry.mean_pairwise_jaccard is None
 
+    @pytest.mark.parametrize("table", [{}, {"a": {"x": 1}}])
+    def test_user_k_rejected_whatever_the_table(self, table):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            community_theme(["a", "b"], {0, 1}, table, k=0)
+
     @pytest.mark.parametrize("top_k", [0, -2])
     def test_community_top_k_validation(self, top_k):
         g = self.make_graph(["a", "b"])
