@@ -20,7 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__, baselines, caa, hashtags, metrics
-from .cliques import enumerate_maximal_cliques, filter_overlapping
+from .cliques import enumerate_maximal_cliques, filter_overlapping, threshold_fraction
 from .errors import (
     CliquecommError,
     DeadlineExceededError,
@@ -50,11 +50,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_Usage(message)
-
-
-class SystemExit_Usage(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _sha256(path) -> str:
@@ -177,9 +173,10 @@ def cmd_generate(args, outdir):
     return [], [out], {"nodes": g.n, "edges": g.m}
 
 
-# Detectors for cmd_detect: (graph, args) -> (cover, extra manifest keys).
+# Detectors for cmd_detect: args -> a function graph -> (cover, extra manifest
+# keys). The params are built, and so checked, before the graph is read.
 
-def _detect_caa(g, args):
+def _detect_caa(args):
     params = caa.CaaParams(
         min_clique_size=args.min_clique_size,
         overlapping_threshold=args.overlapping_threshold,
@@ -187,27 +184,31 @@ def _detect_caa(g, args):
         max_rounds=args.max_rounds,
         max_cliques=args.max_cliques,
     )
-    rounds = []
-    cover = caa.run_caa(g, params, rounds=rounds)
-    return cover, {
-        "seed_count": len(rounds),
-        "rounds_histogram": {str(k): v for k, v in sorted(Counter(rounds).items())},
-    }
+
+    def detect(g):
+        rounds = []
+        cover = caa.run_caa(g, params, rounds=rounds)
+        return cover, {
+            "seed_count": len(rounds),
+            "rounds_histogram": {str(k): v for k, v in sorted(Counter(rounds).items())},
+        }
+    return detect
 
 
-def _detect_lp(g, args):
+def _detect_lp(args):
     params = baselines.LpParams(rng_seed=args.seed, max_iterations=args.max_iterations)
-    return baselines.label_propagation(g, params), {}
+    return lambda g: (baselines.label_propagation(g, params), {})
 
 
-def _detect_cpm(g, args):
+def _detect_cpm(args):
     params = baselines.CpmParams(k=args.k)
-    return baselines.clique_percolation(g, params), {}
+    return lambda g: (baselines.clique_percolation(g, params), {})
 
 
 def cmd_detect(args, outdir):
+    detect = args.detector(args)
     g = load_edge_list(args.graph)
-    cover, extra = args.detector(g, args)
+    cover, extra = detect(g)
     out = outdir / f"{args.command}_cover.txt"
     save_cover(g, cover, out)
     print(f"{args.command}: {len(cover)} communities"
@@ -216,6 +217,9 @@ def cmd_detect(args, outdir):
 
 
 def cmd_metrics(args, outdir):
+    if args.coverage_lo > args.coverage_hi:
+        raise ValueError(f"coverage range [{args.coverage_lo}, {args.coverage_hi}] is empty: "
+                         "--coverage-lo is above --coverage-hi")
     paths = {}  # label -> cover path; a report is keyed by its cover's label
     for cover_path in args.covers:
         label = Path(cover_path).stem
@@ -223,8 +227,8 @@ def cmd_metrics(args, outdir):
             raise ValueError(f"covers {paths[label]} and {cover_path} "
                              f"share the label {label!r}")
         paths[label] = cover_path
-    g = load_edge_list(args.graph)
     bands = metrics.parse_bands(args.bands)
+    g = load_edge_list(args.graph)
 
     reports = {}
     for label, cover_path in paths.items():
@@ -263,17 +267,20 @@ def cmd_metrics(args, outdir):
 
 
 def cmd_sweep(args, outdir):
-    g = load_edge_list(args.graph)
     grid = _parse_grid(args.grid)
     bands = metrics.parse_bands(args.bands)
     growing = args.sweep == "growing"
     min_size = args.min_clique_size
     if min_size is None:
         min_size = caa.CaaParams.min_clique_size if growing else OVERLAP_SWEEP_MIN_SIZE
-    # Built up front so that a bad grid value fails before any work. The
-    # overlapping sweep passes no floor: it accepts floors below caa's 3.
-    params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v) if growing
-              else caa.CaaParams(overlapping_threshold=v) for v in grid]
+    if growing:
+        params = [caa.CaaParams(min_clique_size=min_size, growing_threshold=v) for v in grid]
+    else:
+        for v in grid:
+            threshold_fraction(v, "overlapping_threshold")
+    if min_size < 1:  # the overlapping sweep accepts floors below caa's 3
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    g = load_edge_list(args.graph)
     cliques = enumerate_maximal_cliques(g, min_size)
 
     if growing:
@@ -420,32 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     # The run builds millions of sets, dicts and tuples but no reference
     # cycles, so the cyclic collector's passes over them are pure cost:
     # pause it for the run and leave it as the caller had it.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(argv) -> int:
-    started = time.monotonic()
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # Inside the try: an alarm that lands during the disarm still exits 3.
         with _wall_clock_budget(args.timeout_secs):
             outdir = Path(args.output_dir)
             try:
                 outdir.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
-                raise SystemExit_Usage(
-                    f"cannot make --output-dir {args.output_dir!r}: {exc.strerror}"
-                ) from None
+                raise ValueError(f"cannot make --output-dir {args.output_dir!r}: "
+                                 f"{exc.strerror}") from None
             inputs, outputs, extra = args.func(args, outdir)
             _write_manifest(args, outdir, inputs, outputs, started, extra)
         return EXIT_OK
@@ -455,9 +452,12 @@ def _run(argv) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SystemExit_Usage, ValueError, CliquecommError) as exc:
+    except (ValueError, CliquecommError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ def load_hashtags(path, preserve_case: bool = False, users=None) -> HashtagTable
                     path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
                 )
             user, tag, count_str = parts
-            if not user or not tag:
+            if not user or tag in ("", "#"):  # "#" alone normalizes to ""
                 raise EdgeListParseError(path, lineno, "empty user or hashtag")
             try:
                 count = int(count_str)

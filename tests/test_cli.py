@@ -64,6 +64,26 @@ EVERY_COMMAND_IDS = ["mutualize", "generate", "caa", "lp", "cpm", "metrics", "sw
                      "sweep-overlapping", "hashtag-report"]
 
 
+# (id, argv, message): a parameter error exits 1 before any input is read.
+BAD_PARAMETERS = [
+    ("caa-nan", ["caa", "--growing-threshold", "nan"],
+     "growing_threshold must be in (0, 1], got nan"),
+    ("caa-inf", ["caa", "--overlapping-threshold", "inf"],
+     "overlapping_threshold must be in [0, 1], got inf"),
+    ("caa-rounds", ["caa", "--max-rounds", "0"], "max_rounds must be >= 1, got 0"),
+    ("lp", ["lp", "--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
+    ("cpm", ["cpm", "--k", "2"], "k must be >= 3, got 2"),
+    ("sweep", ["sweep", "--sweep", "overlapping", "--grid", "0.5", "--min-clique-size", "0"],
+     "min_size must be >= 1, got 0"),
+    ("sweep-grid", ["sweep", "--sweep", "growing", "--grid", "0.5,abc"],
+     "--grid value 'abc' is not a number"),
+    ("metrics-bands", ["metrics", "{cover}", "--bands", "x"],
+     "malformed band 'x': expected LO-HI or LO+"),
+    ("metrics-coverage", ["metrics", "{cover}", "--coverage-lo", "5", "--coverage-hi", "3"],
+     "coverage range [5, 3] is empty: --coverage-lo is above --coverage-hi"),
+]
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -213,20 +233,21 @@ class TestDetectors:
         err = capsys.readouterr().err
         assert err.startswith("error: growing_threshold must be in (0, 1], got 0.0")
 
-    @pytest.mark.parametrize("argv, message", [
-        (["caa", "--growing-threshold", "nan"], "growing_threshold must be in (0, 1], got nan"),
-        (["caa", "--overlapping-threshold", "inf"],
-         "overlapping_threshold must be in [0, 1], got inf"),
-        (["lp", "--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
-        (["cpm", "--k", "2"], "k must be >= 3, got 2"),
-        (["sweep", "--sweep", "overlapping", "--grid", "0.5", "--min-clique-size", "0"],
-         "min_size must be >= 1, got 0"),
-    ], ids=["caa-nan", "caa-inf", "lp", "cpm", "sweep"])
-    def test_bad_parameter_named_exit_1(self, argv, message, small_graph_file, tmp_path,
+    @pytest.mark.parametrize("argv, message, inputs", [
+        pytest.param(argv, message, inputs,
+                     id=name if inputs == "present" else f"{name}-{inputs}")
+        for name, argv, message in BAD_PARAMETERS for inputs in ("present", "missing")
+    ])
+    def test_bad_parameter_named_exit_1(self, argv, message, inputs, command_paths, tmp_path,
                                         capsys):
-        assert run([argv[0], small_graph_file, *argv[1:], "--output-dir", tmp_path]) == 1
+        # Missing, the inputs would exit 2 if the run read them first.
+        if inputs == "missing":
+            command_paths = {k: tmp_path / f"missing_{k}" for k in command_paths}
+        argv = [argv[0], command_paths["graph"], *(a.format(**command_paths) for a in argv[1:])]
+        outdir = tmp_path / "out"
+        assert run([*argv, "--output-dir", outdir]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not list(tmp_path.glob("manifest_*.json"))
+        assert not list(outdir.glob("manifest_*.json"))
 
     def test_resource_cap_exit_3(self, small_graph_file, tmp_path):
         assert run([
@@ -538,6 +559,14 @@ class TestHashtagReport:
         assert capsys.readouterr().err == f"error: {tags_file}:4: bad count 'many'\n"
         assert not (tmp_path / "hashtag_report.json").exists()
 
+    def test_bare_hash_tag_exit_2(self, two_communities, tmp_path, capsys):
+        tags_file = two_communities[2]
+        tags_file.write_text(tags_file.read_text() + "u1\t#\t3\n")
+        assert run(["hashtag-report", *two_communities, "--output-dir", tmp_path]) == 2
+        line = len(tags_file.read_text().splitlines())
+        assert capsys.readouterr().err == f"error: {tags_file}:{line}: empty user or hashtag\n"
+        assert not (tmp_path / "hashtag_report.json").exists()
+
     def test_inverted_size_range_exit_1(self, tmp_path, capsys):
         # The inputs do not exist: reading any of them would exit 2.
         missing = [tmp_path / name for name in ("g.tsv", "cover.txt", "tags.tsv")]
@@ -790,6 +819,19 @@ class TestManifests:
         if command == "caa":
             assert sum(manifest["rounds_histogram"].values()) == manifest["seed_count"]
         assert not {"func", "detector"} & set(manifest["params"])
+
+    def test_max_rounds_caps_growth(self, small_graph_file, tmp_path):
+        g = load_edge_list(small_graph_file)
+        rounds = []
+        default = caa.run_caa(g, rounds=rounds)
+        assert max(rounds) >= 2
+        assert run(["caa", small_graph_file, "--max-rounds", 1, "--output-dir", tmp_path]) == 0
+        capped = load_cover(g.ids, tmp_path / "caa_cover.txt")
+        assert capped == caa.run_caa(g, caa.CaaParams(max_rounds=1))
+        assert capped != default
+        manifest = json.loads((tmp_path / "manifest_caa.json").read_text())
+        assert manifest["params"]["max_rounds"] == 1
+        assert max(map(int, manifest["rounds_histogram"])) <= 1
 
     def test_rounds_histogram_counts_run_caa_rounds(self, small_graph_file, tmp_path):
         g = load_edge_list(small_graph_file)

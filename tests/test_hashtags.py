@@ -71,6 +71,13 @@ class TestLoad:
         with pytest.raises(EdgeListParseError):
             load_hashtags(f)
 
+    @pytest.mark.parametrize("users", [None, {"u"}, {"v"}], ids=["all", "kept", "dropped"])
+    def test_bare_hash_rejected_whoever_the_user(self, users, tmp_path):
+        f = tmp_path / "tags.tsv"
+        f.write_text("u\t#x\t4\nu\t#\t3\n")
+        with pytest.raises(EdgeListParseError, match=r"tags.tsv:2: empty user or hashtag$"):
+            load_hashtags(f, users=users)
+
     def test_negative_count(self, tmp_path):
         f = tmp_path / "tags.tsv"
         f.write_text("u\t#x\t-1\n")
