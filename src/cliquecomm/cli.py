@@ -279,7 +279,7 @@ def cmd_sweep(args, outdir):
         for v in grid:
             threshold_fraction(v, "overlapping_threshold")
     if min_size < 1:  # the overlapping sweep accepts floors below caa's 3
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
+        raise ValueError(f"min_clique_size must be >= 1, got {min_size}")
     g = load_edge_list(args.graph)
     cliques = enumerate_maximal_cliques(g, min_size)
 

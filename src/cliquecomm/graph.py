@@ -27,9 +27,16 @@ Cover = list  # list[Community], possibly overlapping
 
 @dataclass(frozen=True)
 class DirectedEdgeList:
-    """Raw directed edges over external string ids, duplicates allowed."""
+    """Raw directed edges: ids are the sorted distinct external ids, and
+    edges holds one (i, j) pair of indices into ids per edge, duplicates and
+    self-loops included. An id that a written file could not hold (see
+    _unwritable_id) raises ValueError."""
 
+    ids: list
     edges: list
+
+    def __post_init__(self):
+        _check_ids(self.ids)
 
 
 @dataclass(frozen=True)
@@ -100,16 +107,6 @@ def _intern(ids, *columns) -> list:
     return [list(map(index.__getitem__, col)) for col in columns]
 
 
-def _intern_pairs(pairs, extra_nodes=()):
-    """(ids, src, dst): the sorted distinct ids of (a, b) pairs and
-    extra_nodes, checked, and the pairs as two index columns."""
-    sources = [a for a, _ in pairs]
-    targets = [b for _, b in pairs]
-    ids = sorted(set(sources).union(targets, extra_nodes))
-    _check_ids(ids)
-    return ids, *_intern(ids, sources, targets)
-
-
 def _from_columns(ids, src, dst) -> Graph:
     """The column constructor: a Graph over sorted distinct ids with one
     undirected edge per row of the parallel index columns src and dst.
@@ -142,23 +139,25 @@ def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
     extra_nodes are kept even when isolated. An id that a written file could
     not hold (see _unwritable_id) raises ValueError.
     """
-    return _from_columns(*_intern_pairs(list(edge_pairs), extra_nodes))
+    pairs = list(edge_pairs)
+    sources = [a for a, _ in pairs]
+    targets = [b for _, b in pairs]
+    ids = sorted(set(sources).union(targets, extra_nodes))
+    _check_ids(ids)
+    return _from_columns(ids, *_intern(ids, sources, targets))
 
 
 def mutualize(d: DirectedEdgeList) -> Graph:
     """Keep only reciprocated directed edges; drop nodes left isolated.
 
     The undirected edge {a, b} survives iff both (a, b) and (b, a) appear
-    in the input. Self-loops never survive. An id that a written file could
-    not hold raises ValueError, whether or not its edges survive.
+    in the input. Self-loops never survive.
     """
-    ids, src, dst = _intern_pairs(d.edges)
+    ids, edges = d.ids, d.edges
     out = [set() for _ in ids]
-    _add_pairs(out, src, dst)
-    # Node i's mutual neighbors are those it points to that point back.
-    adjacency = [{j for j in nbrs if i in out[j]} for i, nbrs in enumerate(out)]
-    for i in set(compress(src, map(operator.eq, src, dst))):
-        adjacency[i].discard(i)
+    _add_pairs(out, map(operator.itemgetter(0), edges), map(operator.itemgetter(1), edges))
+    # Node i's mutual neighbors are the others it points to that point back.
+    adjacency = [{j for j in nbrs if j != i and i in out[j]} for i, nbrs in enumerate(out)]
     keep = list(compress(range(len(ids)), adjacency))
     if len(keep) < len(ids):
         remap = dict(zip(keep, range(len(keep))))
@@ -185,16 +184,17 @@ def load_edge_list(path, directed: bool = False):
 
     Lines starting with '#' are comments; all-whitespace lines are skipped.
     A node id that a written file could not hold (see _unwritable_id)
-    raises EdgeListParseError. With directed=True the raw DirectedEdgeList
-    is returned; otherwise an undirected Graph is built directly
-    (symmetrized, deduplicated, self-loops dropped).
+    raises EdgeListParseError. Both directions intern the ids at read time.
+    With directed=True a DirectedEdgeList of index pairs, one per edge line
+    in file order, is returned; otherwise an undirected Graph is built
+    directly (symmetrized, deduplicated, self-loops dropped).
     """
     fields, distinct = _read_fields(path)
-    if directed:
-        return DirectedEdgeList(edges=list(zip(fields[0::2], fields[1::2])))
     ids = sorted(distinct)
     src, dst = _intern(ids, fields[0::2], fields[1::2])
     del fields, distinct
+    if directed:
+        return DirectedEdgeList(ids, list(zip(src, dst)))
     return _from_columns(ids, src, dst)
 
 
@@ -343,6 +343,8 @@ def planted_partition(
     if k_blocks < 1 or block_size < 1:
         raise ValueError("k_blocks and block_size must be >= 1, "
                          f"got k_blocks={k_blocks}, block_size={block_size}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
 
     import numpy as np  # only generate needs it; the other commands skip its import
 
@@ -354,20 +356,15 @@ def planted_partition(
     order = sorted(range(n), key=names.__getitem__)
     rank = np.argsort(order).tolist()  # inverse permutation of order
     ids = [names[v] for v in order]
-    adjacency = [set() for _ in range(n)]
-
-    def add_edge(i, j):
-        i, j = rank[i], rank[j]
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-
+    src, dst = [], []
     # Intra-block edges: skip-sample the C(b,2) local pairs of each block.
     local_pairs = block_size * (block_size - 1) // 2
     for b in range(k_blocks):
         base = b * block_size
         for idx in _sample_indices(local_pairs, p_in, rng):
             i, j = _index_to_pair(idx, block_size)
-            add_edge(base + i, base + j)
+            src.append(rank[base + i])
+            dst.append(rank[base + j])
 
     # Inter-block edges: skip-sample all C(n,2) pairs at p_out and discard
     # intra-block hits, which keeps intra-block pairs at exactly p_in.
@@ -376,9 +373,10 @@ def planted_partition(
         for idx in _sample_indices(total_pairs, p_out, rng):
             i, j = _index_to_pair(idx, n)
             if i // block_size != j // block_size:
-                add_edge(i, j)
+                src.append(rank[i])
+                dst.append(rank[j])
 
-    return Graph(ids=ids, adjacency=adjacency)
+    return _from_columns(ids, src, dst)
 
 
 def _sample_indices(total: int, p: float, rng) -> Iterable:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquecomm.graph import build_graph
+from cliquecomm.graph import DirectedEdgeList, build_graph
 from cliquecomm.metrics import triangle_participants
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -21,6 +21,20 @@ def gnp(n, p, seed):
         if rng.random() < p
     ]
     return build_graph(edges, extra_nodes=ids)
+
+
+def directed_edge_list(pairs):
+    """A DirectedEdgeList over (source_id, target_id) pairs, interned as
+    load_edge_list interns a file's edge lines: sorted distinct ids, and one
+    index pair per input pair, in order."""
+    ids = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(ids)}
+    return DirectedEdgeList(ids, [(index[a], index[b]) for a, b in pairs])
+
+
+def id_pairs(d):
+    """The edges of DirectedEdgeList d as (source_id, target_id) pairs."""
+    return [(d.ids[i], d.ids[j]) for i, j in d.edges]
 
 
 def complete_graph(n, prefix="k"):

@@ -12,6 +12,8 @@ from itertools import combinations
 from cliquecomm.errors import EdgeListParseError
 from cliquecomm.graph import DirectedEdgeList, Graph
 
+from conftest import directed_edge_list, id_pairs
+
 MAX_CLIQUE_ORACLE_N = 12
 MAX_CPM_ORACLE_N = 10
 MAX_MODULARITY_ORACLE_N = 30
@@ -194,8 +196,9 @@ def oracle_build_graph(edge_pairs, extra_nodes=()) -> Graph:
 
 
 def oracle_mutualize(d: DirectedEdgeList) -> Graph:
-    """The edge {a, b} iff both (a, b) and (b, a) appear, a != b."""
-    directed = {(a, b) for a, b in d.edges if a != b}
+    """The edge {a, b} iff both (a, b) and (b, a) appear, a != b, read over
+    external ids."""
+    directed = {(a, b) for a, b in id_pairs(d) if a != b}
     return oracle_build_graph(
         (a, b) for a, b in directed if a < b and (b, a) in directed
     )
@@ -222,7 +225,7 @@ def oracle_load_edge_list(path, directed=False):
                     )
             edges.append(tuple(parts))
     if directed:
-        return DirectedEdgeList(edges=edges)
+        return directed_edge_list(edges)
     return oracle_build_graph(edges)
 
 

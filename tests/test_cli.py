@@ -74,7 +74,7 @@ BAD_PARAMETERS = [
     ("lp", ["lp", "--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
     ("cpm", ["cpm", "--k", "2"], "k must be >= 3, got 2"),
     ("sweep", ["sweep", "--sweep", "overlapping", "--grid", "0.5", "--min-clique-size", "0"],
-     "min_size must be >= 1, got 0"),
+     "min_clique_size must be >= 1, got 0"),
     ("sweep-grid", ["sweep", "--sweep", "growing", "--grid", "0.5,abc"],
      "--grid value 'abc' is not a number"),
     ("metrics-bands", ["metrics", "{cover}", "--bands", "x"],
@@ -140,6 +140,13 @@ class TestGenerate:
             "generate", "--blocks", 2, "--block-size", 5,
             "--p-in", 0.1, "--p-out", 0.9, "--output-dir", tmp_path,
         ]) == 1
+
+    def test_negative_seed_named_exit_1(self, tmp_path, capsys):
+        assert run([
+            "generate", "--blocks", 2, "--block-size", 5,
+            "--p-in", 0.5, "--p-out", 0.1, "--seed", -1, "--output-dir", tmp_path,
+        ]) == 1
+        assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
 
     def test_numpy_imported_only_by_generate(self):
         # Every other command skips numpy's import time and memory.

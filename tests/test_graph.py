@@ -6,7 +6,6 @@ import pytest
 from cliquecomm import graph as graph_module
 from cliquecomm.errors import EdgeListParseError, InputError
 from cliquecomm.graph import (
-    DirectedEdgeList,
     Graph,
     build_graph,
     induced_subgraph,
@@ -20,7 +19,7 @@ from cliquecomm.graph import (
     sort_cover,
 )
 
-from conftest import complete_graph, gnp, planted_block
+from conftest import complete_graph, directed_edge_list, gnp, id_pairs, planted_block
 
 
 def assert_graph_invariants(g):
@@ -32,24 +31,24 @@ def assert_graph_invariants(g):
 
 class TestMutualize:
     def test_one_mutual_pair(self):
-        g = mutualize(DirectedEdgeList([("a", "b"), ("b", "a"), ("a", "c")]))
+        g = mutualize(directed_edge_list([("a", "b"), ("b", "a"), ("a", "c")]))
         assert g.ids == ["a", "b"]
         assert g.m == 1
         assert_graph_invariants(g)
 
     def test_empty(self):
-        g = mutualize(DirectedEdgeList([]))
+        g = mutualize(directed_edge_list([]))
         assert g.n == 0
         assert g.m == 0
 
     def test_self_loop_dropped(self):
-        g = mutualize(DirectedEdgeList([("a", "a"), ("a", "b"), ("b", "a")]))
+        g = mutualize(directed_edge_list([("a", "a"), ("a", "b"), ("b", "a")]))
         assert g.ids == ["a", "b"]
         assert g.m == 1
 
     def test_isolated_node_dropped(self):
         g = mutualize(
-            DirectedEdgeList([("a", "b"), ("b", "a"), ("c", "a"), ("d", "c")])
+            directed_edge_list([("a", "b"), ("b", "a"), ("c", "a"), ("d", "c")])
         )
         assert set(g.ids) == {"a", "b"}
 
@@ -58,10 +57,10 @@ class TestMutualize:
         edges = [
             (f"v{rng.randrange(20)}", f"v{rng.randrange(20)}") for _ in range(120)
         ]
-        g1 = mutualize(DirectedEdgeList(edges))
+        g1 = mutualize(directed_edge_list(edges))
         resym = [(g1.ids[i], g1.ids[j]) for i, j in g1.edges()]
         both_ways = resym + [(b, a) for a, b in resym]
-        g2 = mutualize(DirectedEdgeList(both_ways))
+        g2 = mutualize(directed_edge_list(both_ways))
         assert g1.ids == g2.ids
         assert g1.adjacency == g2.adjacency
 
@@ -71,7 +70,7 @@ class TestMutualize:
             (f"v{rng.randrange(15)}", f"v{rng.randrange(15)}") for _ in range(80)
         ]
         distinct = {e for e in edges if e[0] != e[1]}
-        g = mutualize(DirectedEdgeList(edges))
+        g = mutualize(directed_edge_list(edges))
         assert g.m <= len(distinct) // 2
 
 
@@ -80,7 +79,17 @@ class TestEdgeListIO:
         f = tmp_path / "e.tsv"
         f.write_text("a\tb\nb\ta\n")
         d = load_edge_list(f, directed=True)
-        assert d.edges == [("a", "b"), ("b", "a")]
+        assert d.ids == ["a", "b"]
+        assert d.edges == [(0, 1), (1, 0)]
+
+    def test_directed_load_keeps_every_edge_line(self, tmp_path):
+        # Index pairs into the sorted ids, one per edge line, in file order:
+        # the duplicate line and the self-loop stay, the comment goes.
+        f = tmp_path / "e.tsv"
+        f.write_text("c\ta\n# b\td\na\tb\nc\ta\nb\tb\n")
+        d = load_edge_list(f, directed=True)
+        assert d.ids == ["a", "b", "c"]
+        assert d.edges == [(2, 0), (0, 1), (2, 0), (1, 1)]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_invalid_utf8_names_file(self, tmp_path, directed):
@@ -95,7 +104,8 @@ class TestEdgeListIO:
         g = load_edge_list(f)
         assert g.ids == ["a", "b", "c"] and g.m == 3
         d = load_edge_list(f, directed=True)
-        assert d.edges == [("a", "b"), ("b", "c"), ("c", "a")]
+        assert d.ids == ["a", "b", "c"]
+        assert d.edges == [(0, 1), (1, 2), (2, 0)]
 
     def test_undirected_load(self, tmp_path):
         f = tmp_path / "e.tsv"
@@ -165,7 +175,8 @@ class TestEdgeListIO:
         f = tmp_path / "e.tsv"
         f.write_bytes(b"a\tb\r\nb\tc\r\nc\ta")
         monkeypatch.setattr(graph_module, "_parse_lines", None)  # the line loop
-        assert load_edge_list(f, directed=True).edges == [("a", "b"), ("b", "c"), ("c", "a")]
+        d = load_edge_list(f, directed=True)
+        assert id_pairs(d) == [("a", "b"), ("b", "c"), ("c", "a")]
         g = load_edge_list(f)
         assert g.ids == ["a", "b", "c"] and g.m == 3
 
@@ -204,8 +215,9 @@ class TestIdRule:
 
     @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
     def test_mutualize_rejects(self, bad):
+        # The check runs when the list is built, before mutualize sees it.
         with pytest.raises(ValueError, match="node id"):
-            mutualize(DirectedEdgeList([(bad, "a"), ("a", bad), ("a", "c")]))
+            directed_edge_list([(bad, "a"), ("a", bad), ("a", "c")])
 
     def test_inner_specials_accepted(self, tmp_path):
         # '#' inside an id, not leading, round-trips.
@@ -287,6 +299,10 @@ class TestPlantedPartition:
         g2 = planted_partition(2, 50, 0.3, 0.01, 7)
         assert g1.ids == g2.ids
         assert g1.adjacency == g2.adjacency
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+            planted_partition(2, 5, 0.5, 0.1, -1)
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):

@@ -176,7 +176,7 @@ def test_load_edge_list_matches_oracle(text):
             if isinstance(want, tuple):
                 assert got == want
             elif directed:
-                assert got.edges == want.edges
+                assert (got.ids, got.edges) == (want.ids, want.edges)
                 g, h = mutualize(got), oracle_mutualize(want)
                 assert (g.ids, g.adjacency) == (h.ids, h.adjacency)
             else:
