@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 
 from .cliques import enumerate_maximal_cliques
 from .graph import Graph, sort_cover
@@ -68,35 +68,34 @@ def clique_percolation(g: Graph, p: CpmParams):
     """Clique percolation: communities are unions of k-cliques chained by
     (k-1)-node overlaps.
 
-    Union-find runs over the maximal cliques of size >= k, linked when they
-    share a (k-1)-subset, and gives the same communities as over k-cliques:
-    every k-clique lies in a maximal clique of size >= k; the k-cliques
-    inside one maximal clique are chained (swap one member at a time); and
-    two maximal cliques hold k-cliques sharing k-1 nodes iff they share k-1
-    members (those members plus one more from each side).
+    Each community is the union of one search over the maximal cliques of
+    size >= k, stepping between cliques that share k-1 members. That chains
+    the same k-cliques: each lies in such a maximal clique, those inside one
+    are chained (swap one member at a time), and two maximal cliques hold
+    k-cliques sharing k-1 nodes iff they share k-1 members. A clique sharing
+    k-1 members with c holds one of any |c| - k + 2 of c's members (as in
+    filter_overlapping), so only their cliques are compared: the cost is at
+    most quadratic in the cliques per node and never exponential in k.
     """
     maximal = enumerate_maximal_cliques(g, p.k).cliques
-    parent = list(range(len(maximal)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    by_subset = {}
+    by_node = {}  # node -> indices into maximal of the cliques holding it
     for idx, c in enumerate(maximal):
-        for sub in combinations(sorted(c), p.k - 1):
-            first = by_subset.setdefault(sub, idx)
-            if first != idx:
-                union(first, idx)
-
-    components = {}
-    for idx, c in enumerate(maximal):
-        components.setdefault(find(idx), set()).update(c)
-    return sort_cover(components.values())
+        for v in c:
+            by_node.setdefault(v, []).append(idx)
+    reached = [False] * len(maximal)
+    communities = []
+    for start, first in enumerate(maximal):
+        if reached[start]:
+            continue
+        reached[start] = True
+        stack, members = [first], set()
+        while stack:
+            c = stack.pop()
+            members |= c
+            for v in islice(c, len(c) - p.k + 2):
+                for j in by_node[v]:
+                    if not reached[j] and len(c & maximal[j]) >= p.k - 1:
+                        reached[j] = True
+                        stack.append(maximal[j])
+        communities.append(members)
+    return sort_cover(communities)

@@ -14,7 +14,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Sequence
 
 from .errors import EdgeListParseError, InputError
@@ -27,16 +27,18 @@ Cover = list  # list[Community], possibly overlapping
 
 @dataclass(frozen=True)
 class DirectedEdgeList:
-    """Raw directed edges: ids are the sorted distinct external ids, and
+    """Raw directed edges: ids are external ids as _check_ids requires, and
     edges holds one (i, j) pair of indices into ids per edge, duplicates and
-    self-loops included. An id that a written file could not hold (see
-    _unwritable_id) raises ValueError."""
+    self-loops included. An index outside ids raises ValueError."""
 
     ids: list
     edges: list
 
     def __post_init__(self):
         _check_ids(self.ids)
+        bad = set(chain.from_iterable(self.edges)).difference(range(len(self.ids)))
+        if bad:
+            raise ValueError(f"edge index {min(bad)} is out of range for {len(self.ids)} ids")
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,15 @@ class Graph:
     """Immutable undirected simple graph with dense node indices.
 
     ids[i] is the external id of node i; adjacency[i] is the set of
-    neighbor indices. Symmetric and irreflexive by construction. ids must be
-    strictly ascending, so index order is external-id order.
+    neighbor indices. Symmetric and irreflexive by construction. ids must
+    pass _check_ids, so index order is external-id order.
     """
 
     ids: list
     adjacency: list
 
     def __post_init__(self):
-        if any(map(operator.ge, self.ids, islice(self.ids, 1, None))):
-            raise ValueError("graph ids must be strictly ascending")
+        _check_ids(self.ids)
 
     @property
     def n(self) -> int:
@@ -91,6 +92,8 @@ def _bad_id_message(v) -> str:
 
 
 def _check_ids(ids) -> None:
+    if any(map(operator.ge, ids, islice(ids, 1, None))):
+        raise ValueError("node ids must be strictly ascending")
     bad = _unwritable_id(ids)
     if bad is not None:
         raise ValueError(_bad_id_message(bad))
@@ -111,8 +114,7 @@ def _from_columns(ids, src, dst) -> Graph:
     """The column constructor: a Graph over sorted distinct ids with one
     undirected edge per row of the parallel index columns src and dst.
 
-    Symmetrizes, and drops duplicate edges and self-loops (counted in the
-    log). The caller has checked the ids.
+    Symmetrizes, and drops duplicate edges and self-loops (counted in the log).
     """
     adjacency = [set() for _ in ids]
     _add_pairs(adjacency, src, dst)
@@ -143,7 +145,6 @@ def build_graph(edge_pairs: Iterable, extra_nodes: Iterable = ()) -> Graph:
     sources = [a for a, _ in pairs]
     targets = [b for _, b in pairs]
     ids = sorted(set(sources).union(targets, extra_nodes))
-    _check_ids(ids)
     return _from_columns(ids, *_intern(ids, sources, targets))
 
 

@@ -84,9 +84,10 @@ def test_maximal_cliques(name):
         assert set(got) == expected
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_clique_percolation(pair, k):
-    g, reference = pair
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", sorted(GRAPHS) + sorted(DENSE_CORES))
+def test_clique_percolation(name, k):
+    g, reference = reference_pair(name)
     expected = sort_cover(nx.community.k_clique_communities(reference, k))
     assert clique_percolation(g, CpmParams(k=k)) == expected
 

@@ -6,6 +6,7 @@ import pytest
 from cliquecomm import graph as graph_module
 from cliquecomm.errors import EdgeListParseError, InputError
 from cliquecomm.graph import (
+    DirectedEdgeList,
     Graph,
     build_graph,
     induced_subgraph,
@@ -272,6 +273,16 @@ class TestIdOrder:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             Graph(ids=["a", "b", "b"], adjacency=[set(), set(), set()])
+
+    def test_directed_out_of_order_ids_rejected(self):
+        # mutualize would build a graph over ["b", "c"] from these.
+        with pytest.raises(ValueError, match="strictly ascending"):
+            DirectedEdgeList(["b", "a", "c"], [(0, 2), (2, 0), (1, 1)])
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_directed_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match=f"edge index {index} is out of range for 2 ids"):
+            DirectedEdgeList(["a", "b"], [(0, 1), (index, 0)])
 
     def test_planted_ids_ascending(self):
         # 12 blocks of 11: "10-0" < "2-0" and "0-10" < "0-2" as strings

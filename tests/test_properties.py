@@ -294,7 +294,7 @@ def test_cover_members_in_range(g, detector):
 
 
 @settings(deadline=None)
-@given(graphs_over(10), st.sampled_from([3, 4, 5]))
+@given(graphs_over(10), st.sampled_from([3, 4, 5, 6]))
 def test_cpm_matches_oracle(g, k):
     assert clique_percolation(g, CpmParams(k=k)) == oracle_cpm(g, k)
 
