@@ -126,7 +126,7 @@ def _from_columns(ids, src, dst) -> Graph:
     duplicates = len(src) - self_loops - sum(map(len, adjacency)) // 2
     if self_loops or duplicates:
         logger.info(
-            "build_graph: dropped %d self-loops and %d duplicate edges",
+            "dropped %d self-loops and %d duplicate edges",
             self_loops,
             duplicates,
         )
@@ -208,15 +208,10 @@ def load_node_ids(path) -> list:
 
 def _read_fields(path):
     """(fields, distinct): the ids of every edge line of an edge-list file,
-    source then target, flat, and the set of them.
-
-    A file whose every line is two writable ids around one tab is cut into
-    its fields at once. Any other file goes through the line loop, which
-    names the line of the first malformed record.
-    """
+    source then target, flat, and the set of them. One split serves every
+    valid file; comment and blank lines are dropped only if it fails."""
     with open_utf8(path) as fh:
         text = fh.read()
-    tabs = text.count("\t")
     # Text mode has already mapped "\r\n" and "\r" to "\n". Split on "\n"
     # alone, as a text file's lines do: splitlines also cuts at "\x0b",
     # "\x85" and "\u2028", which would shift the line numbers of errors.
@@ -224,23 +219,30 @@ def _read_fields(path):
     del text  # each stage drops what it has used, to keep peak memory low
     if lines[-1] == "":
         lines.pop()
-    if tabs == len(lines) and all(map(operator.contains, lines, repeat("\t"))):
-        # Exactly one tab per line: the fields alternate source, target.
-        fields = "\t".join(lines).split("\t")
-        distinct = set(fields)
-        if _unwritable_id(distinct) is None:
-            return fields, distinct
-        del fields, distinct
-    fields = _parse_lines(path, lines)
-    return fields, set(fields)
+    split = _split(lines) or _split([ln for ln in lines if ln.strip() and ln[0] != "#"])
+    if split is None:
+        _locate_bad_line(path, lines)
+    return split
 
 
-def _parse_lines(path, lines) -> list:
-    """The ids of every edge line, source then target, flat; raises
-    EdgeListParseError at the first malformed line."""
-    fields = []
+def _split(records):
+    """(fields, distinct) if every record is two writable ids around one
+    tab, cut into its fields at once; otherwise None."""
+    if not all(map(operator.contains, records, repeat("\t"))):
+        return None
+    # A tab in each record and two fields per record leave one tab in each:
+    # the fields alternate source, target.
+    fields = "\t".join(records).split("\t") if records else []
+    if len(fields) != 2 * len(records):
+        return None
+    distinct = set(fields)
+    return (fields, distinct) if _unwritable_id(distinct) is None else None
+
+
+def _locate_bad_line(path, lines) -> None:
+    """Raise EdgeListParseError at the first malformed edge line."""
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or line[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -250,8 +252,6 @@ def _parse_lines(path, lines) -> list:
         bad = _unwritable_id(parts)
         if bad is not None:
             raise EdgeListParseError(path, lineno, _bad_id_message(bad))
-        fields += parts
-    return fields
 
 
 def save_edge_list(g: Graph, path) -> None:

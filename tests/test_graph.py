@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import combinations
 
@@ -126,9 +127,13 @@ class TestEdgeListIO:
             load_edge_list(f)
         assert exc.value.line_number == 1
 
-    @pytest.mark.parametrize("text, lineno", [("a\tb\tc\nd\n", 1), ("a\tb\nc\nd\te\tf\n", 2)])
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("a\tb\tc\nd\n", 1), ("a\tb\nc\nd\te\tf\n", 2), ("# h\na\tb\tc\nd\n", 2)],
+    )
     def test_misplaced_tabs(self, tmp_path, text, lineno):
-        # As many tabs as lines, but not one per line.
+        # As many tabs as edge lines, but not one per line. The line number
+        # counts the comment lines.
         f = tmp_path / "e.tsv"
         f.write_text(text)
         with pytest.raises(EdgeListParseError) as exc:
@@ -175,11 +180,30 @@ class TestEdgeListIO:
     def test_crlf_takes_the_column_path(self, tmp_path, monkeypatch):
         f = tmp_path / "e.tsv"
         f.write_bytes(b"a\tb\r\nb\tc\r\nc\ta")
-        monkeypatch.setattr(graph_module, "_parse_lines", None)  # the line loop
+        monkeypatch.setattr(graph_module, "_locate_bad_line", None)  # the line loop
         d = load_edge_list(f, directed=True)
         assert id_pairs(d) == [("a", "b"), ("b", "c"), ("c", "a")]
         g = load_edge_list(f)
         assert g.ids == ["a", "b", "c"] and g.m == 3
+
+    def test_comments_and_blanks_take_the_column_path(self, tmp_path, monkeypatch):
+        clean = "a\tb\nb\tc\nc\ta\nc\tc\n"
+        f, g = tmp_path / "clean.tsv", tmp_path / "commented.tsv"
+        f.write_text(clean)
+        g.write_text("# header\n" + clean.replace("b\tc\n", "b\tc\n\n   \n\t\n") + "\n")
+        monkeypatch.setattr(graph_module, "_locate_bad_line", None)  # the line loop
+        want, got = load_edge_list(f), load_edge_list(g)
+        assert (got.ids, got.adjacency) == (want.ids, want.adjacency)
+        assert id_pairs(load_edge_list(g, directed=True)) == id_pairs(
+            load_edge_list(f, directed=True)
+        )
+
+    def test_drop_counts_logged(self, tmp_path, caplog):
+        f = tmp_path / "e.tsv"
+        f.write_text("a\tb\nb\ta\nc\tc\na\tb\n")
+        with caplog.at_level(logging.INFO, logger="cliquecomm.graph"):
+            load_edge_list(f)
+        assert caplog.messages == ["dropped 1 self-loops and 2 duplicate edges"]
 
     def test_node_ids_keep_self_loop_only_ids(self, tmp_path, monkeypatch):
         f = tmp_path / "e.tsv"

@@ -129,10 +129,11 @@ def test_edge_list_round_trip(edges):
     assert back.adjacency == g.adjacency
 
 
-# Edge files that mix what the column path must hand to the line loop with
-# what it must keep: ids with '#', space, \x0b, \x85 or \u2028 (splitlines
-# would cut at the last three), empty ids, CRLF, blank and comment lines, 1
-# to 3 fields, a missing final newline, duplicates and self-loops.
+# Edge files that mix what the column split must reject, over every line or
+# over the lines left once comment and blank lines are dropped, with what it
+# must keep: ids with '#', space, \x0b, \x85 or \u2028 (splitlines would cut
+# at the last three), empty ids, CRLF, blank and comment lines, 1 to 3
+# fields, a missing final newline, duplicates and self-loops.
 file_ids = st.text(st.sampled_from("ab# \x0b\x85\u2028"), max_size=3)
 writable_file_ids = st.text(st.sampled_from("ab#"), min_size=1, max_size=3).filter(
     lambda v: v[0] != "#")
