@@ -77,7 +77,8 @@ def clique_percolation(g: Graph, p: CpmParams):
     filter_overlapping), so only their cliques are compared: the cost is at
     most quadratic in the cliques per node and never exponential in k.
     """
-    maximal = enumerate_maximal_cliques(g, p.k).cliques
+    # Frozensets made once: the search intersects each clique many times.
+    maximal = list(map(frozenset, enumerate_maximal_cliques(g, p.k).cliques))
     by_node = {}  # node -> indices into maximal of the cliques holding it
     for idx, c in enumerate(maximal):
         for v in c:

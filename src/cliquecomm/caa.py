@@ -39,7 +39,8 @@ def grow_community_with_rounds(
     growing_threshold,
     max_rounds: int | None = None,
 ):
-    """Grow a seed clique to fixpoint under the admission ratio rule.
+    """Grow a seed clique, any iterable of its members (enumeration gives
+    sorted tuples), to fixpoint under the admission ratio rule.
 
     Each round admits, simultaneously, every non-member neighbor whose edge
     count into the round-start snapshot is at least

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import ResourceLimitError
-from .graph import Graph, sort_cover
+from .graph import Graph
 
 DEFAULT_CLIQUE_CAP = 10_000_000
 
@@ -17,7 +17,7 @@ DEFAULT_CLIQUE_CAP = 10_000_000
 class CliqueSet:
     """Cliques sorted descending by size, ties lexicographic by member ids."""
 
-    cliques: list  # list[frozenset[int]]
+    cliques: list  # list[tuple[int, ...]], each in ascending order
 
 
 def threshold_fraction(t, name: str = "threshold", above_zero: bool = False) -> Fraction:
@@ -40,8 +40,11 @@ def threshold_fraction(t, name: str = "threshold", above_zero: bool = False) -> 
 
 
 def sort_cliques(cliques) -> list:
-    """Cliques in sort_cover order: descending size, then member ids."""
-    return sort_cover(cliques)
+    """Sorted-tuple cliques in sort_cover order: descending size, then
+    member ids, by two stable passes (members, then size)."""
+    out = sorted(cliques)
+    out.sort(key=len, reverse=True)
+    return out
 
 
 def degeneracy_order(g: Graph) -> list:
@@ -75,7 +78,8 @@ def enumerate_maximal_cliques(
     min_size: int = 1,
     max_cliques: int = DEFAULT_CLIQUE_CAP,
 ) -> CliqueSet:
-    """All maximal cliques of g with at least min_size members.
+    """All maximal cliques of g with at least min_size members, each a
+    tuple in ascending order.
 
     Bron-Kerbosch with pivoting, outer loop in degeneracy order, on an
     explicit stack of frames (r, p, x, branches), so clique depth is not
@@ -105,7 +109,7 @@ def enumerate_maximal_cliques(
                 r += (w,)
             elif x:
                 return
-            out.append(frozenset(r))
+            out.append(tuple(sorted(r)))
             if len(out) > max_cliques:
                 raise ResourceLimitError(
                     f"maximal clique count exceeded cap {max_cliques}"
@@ -164,33 +168,36 @@ def filter_overlapping(cs: CliqueSet, overlapping_threshold) -> CliqueSet:
     t * bound members with c, so it holds at least one of any
     probe = |c| - floor(t * bound) of them. The probe is never negative
     (t <= 1), and at threshold 1 on size-sorted input it is empty, so
-    nothing is compared.
+    nothing is compared. The probe stops at the first kept clique that
+    discards c. Cliques may be tuples or frozensets, and are kept as given.
     """
     t = threshold_fraction(overlapping_threshold, "overlapping_threshold")
     num, den = t.numerator, t.denominator
 
     kept = []
+    kept_sets = []  # frozenset of each kept clique, to count overlaps
     by_node = {}  # node -> indices into kept, to skip disjoint comparisons
     smallest = math.inf  # smallest kept size: CliqueSet order is not enforced
     for c in cs.cliques:
         size = len(c)
         near = set()
         for v in islice(c, size - num * min(size, smallest) // den):
-            near.update(by_node.get(v, ()))
-        discard = False
-        for ki in near:
-            k = kept[ki]
-            overlap = len(c & k)
-            if overlap * den > num * min(size, len(k)):
-                discard = True
-                break
-        if discard:
-            continue
-        idx = len(kept)
-        kept.append(c)
-        smallest = min(smallest, size)
-        for v in c:
-            by_node.setdefault(v, []).append(idx)
+            for ki in by_node.get(v, ()):
+                if ki not in near:
+                    near.add(ki)
+                    k = kept_sets[ki]
+                    if len(k.intersection(c)) * den > num * min(size, len(k)):
+                        break
+            else:
+                continue  # none of v's kept cliques discards c
+            break  # k discards c
+        else:  # no kept clique discards c
+            idx = len(kept)
+            kept.append(c)
+            kept_sets.append(frozenset(c))
+            smallest = min(smallest, size)
+            for v in c:
+                by_node.setdefault(v, []).append(idx)
     return CliqueSet(cliques=kept)
 
 

@@ -219,7 +219,12 @@ def _read_fields(path):
     del text  # each stage drops what it has used, to keep peak memory low
     if lines[-1] == "":
         lines.pop()
-    split = _split(lines) or _split([ln for ln in lines if ln.strip() and ln[0] != "#"])
+    # A split over every line fails when the first line starts with '#' (it
+    # has no tab, or an unwritable first id), so it is tried only otherwise.
+    whole = not lines or lines[0][:1] != "#"
+    split = (whole and _split(lines)) or _split(
+        [ln for ln in lines if ln.strip() and ln[0] != "#"]
+    )
     if split is None:
         _locate_bad_line(path, lines)
     return split

@@ -37,6 +37,15 @@ def id_pairs(d):
     return [(d.ids[i], d.ids[j]) for i, j in d.edges]
 
 
+def clique_sets(cliques):
+    """The members of each clique as a frozenset, in order, after checking
+    that each is a tuple in strictly ascending order, as enumeration emits
+    it."""
+    for c in cliques:
+        assert type(c) is tuple and all(map(int.__lt__, c, c[1:])), c
+    return list(map(frozenset, cliques))
+
+
 def complete_graph(n, prefix="k"):
     ids = [f"{prefix}{i:02d}" for i in range(n)]
     return build_graph(

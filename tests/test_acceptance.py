@@ -18,7 +18,7 @@ from cliquecomm.graph import (
 from cliquecomm.hashtags import community_theme, load_hashtags, user_top_k
 from cliquecomm.metrics import evaluate, extended_modularity
 
-from conftest import DATA_DIR, gnp, tpr, two_k5
+from conftest import DATA_DIR, clique_sets, gnp, tpr, two_k5
 from oracles import oracle_cpm, oracle_maximal_cliques, oracle_modularity
 from test_metrics import random_partition
 
@@ -36,7 +36,7 @@ def test_criterion_01_clique_oracle_equivalence():
         for seed in range(70):
             n = 6 + (seed % 7)  # sizes 6..12
             g = gnp(n, p, seed * 97 + int(p * 100))
-            got = set(enumerate_maximal_cliques(g, 1).cliques)
+            got = set(clique_sets(enumerate_maximal_cliques(g, 1).cliques))
             assert got == set(oracle_maximal_cliques(g))
             checked += 1
     elapsed = time.monotonic() - start
@@ -73,8 +73,9 @@ def test_criterion_04_threshold_one_fixpoint():
     seeds_checked = 0
     for seed in range(50):
         g = gnp(30, 0.3, 4000 + seed)
-        for clique in enumerate_maximal_cliques(g, 1).cliques:
-            assert grow_community_with_rounds(g, clique, 1.0)[0] == clique
+        cliques = enumerate_maximal_cliques(g, 1).cliques
+        for clique, members in zip(cliques, clique_sets(cliques)):
+            assert grow_community_with_rounds(g, clique, 1.0)[0] == members
             seeds_checked += 1
     report(4, f"{seeds_checked} maximal-clique seeds unchanged at threshold 1.0")
 

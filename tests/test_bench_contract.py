@@ -59,7 +59,7 @@ def test_observed_results_have_the_read_attributes(tracer, tmp_path):
 
     assert isinstance(run_caa(g), list)
     community, rounds = grow_community_with_rounds(g, cliques.cliques[0], 0.7)
-    assert community == cliques.cliques[0] and rounds == 0
+    assert community == frozenset(cliques.cliques[0]) and rounds == 0
 
 
 def write_inputs(directory):

@@ -13,7 +13,7 @@ from cliquecomm.cliques import enumerate_maximal_cliques
 from cliquecomm.graph import build_graph, planted_partition, save_cover
 from cliquecomm.metrics import triangle_participants
 
-from conftest import gnp, planted_block, two_k5
+from conftest import clique_sets, gnp, planted_block, two_k5
 from oracles import oracle_grow
 
 
@@ -43,8 +43,9 @@ class TestGrowCommunity:
 
     def test_threshold_one_fixpoint_on_maximal_seed(self):
         g = gnp(20, 0.4, 8)
-        for seed in enumerate_maximal_cliques(g, 1).cliques:
-            assert grow_community_with_rounds(g, seed, 1.0)[0] == seed
+        seeds = enumerate_maximal_cliques(g, 1).cliques
+        for seed, members in zip(seeds, clique_sets(seeds)):
+            assert grow_community_with_rounds(g, seed, 1.0)[0] == members
 
     def test_hand_simulated_round(self):
         # two K5 blocks, u has 4 edges into block A: 4 >= 0.7*5 admits u
@@ -59,9 +60,10 @@ class TestGrowCommunity:
 
     def test_seed_subset_of_result(self):
         g = gnp(30, 0.3, 4)
-        for seed in enumerate_maximal_cliques(g, 3).cliques[:10]:
+        seeds = enumerate_maximal_cliques(g, 3).cliques[:10]
+        for seed, members in zip(seeds, clique_sets(seeds)):
             for t in (0.3, 0.5, 0.7, 1.0):
-                assert seed <= grow_community_with_rounds(g, seed, t)[0]
+                assert members <= grow_community_with_rounds(g, seed, t)[0]
 
     def test_non_clique_seed_rejected(self):
         g = gnp(10, 0.2, 0)
@@ -114,8 +116,9 @@ class TestGrowthPaths:
     def test_matches_oracle(self, counters_built, threshold, max_rounds):
         rounds_total = calls = 0
         for g in (k10_plus_candidates(), gnp(30, 0.3, 4), hubs_on_cliques()):
-            for clique in enumerate_maximal_cliques(g, 3).cliques:
-                for seed in (clique, *(clique - {v} for v in sorted(clique)[:2])):
+            cliques = enumerate_maximal_cliques(g, 3).cliques
+            for clique, members in zip(cliques, clique_sets(cliques)):
+                for seed in (clique, *(members - {v} for v in clique[:2])):
                     got = grow_community_with_rounds(g, seed, threshold, max_rounds)
                     assert got == oracle_grow(g, seed, threshold, max_rounds)
                     rounds_total += got[1]
@@ -183,7 +186,7 @@ class TestRunCaa:
         # member of some originating seed sits in a triangle
         for c in cover:
             participants = triangle_participants(g, c)
-            for seed in cliques.cliques:
+            for seed in clique_sets(cliques.cliques):
                 if seed <= c:
                     assert seed <= participants
                     break

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cliquecomm.cliques import (
@@ -8,9 +10,9 @@ from cliquecomm.cliques import (
     threshold_fraction,
 )
 from cliquecomm.errors import ResourceLimitError
-from cliquecomm.graph import build_graph
+from cliquecomm.graph import build_graph, sort_cover
 
-from conftest import complete_graph, gnp
+from conftest import clique_sets, complete_graph, gnp
 from oracles import (
     is_maximal_clique,
     oracle_filter_overlapping,
@@ -22,12 +24,12 @@ class TestEnumerate:
     def test_k5_single_clique(self):
         g = complete_graph(5)
         cs = enumerate_maximal_cliques(g, 3)
-        assert cs.cliques == [frozenset(range(5))]
+        assert cs.cliques == [tuple(range(5))]
 
     def test_triangle_plus_pendant(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         cs = enumerate_maximal_cliques(g, 2)
-        got = [frozenset(g.ids[v] for v in c) for c in cs.cliques]
+        got = [frozenset(map(g.ids.__getitem__, c)) for c in clique_sets(cs.cliques)]
         assert got == [frozenset("abc"), frozenset("cd")]
 
     def test_empty_graph(self):
@@ -37,13 +39,13 @@ class TestEnumerate:
     def test_min_size_filters_output_only(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
         cs = enumerate_maximal_cliques(g, 3)
-        assert cs.cliques == [frozenset(map(g.ids.index, "abc"))]
+        assert cs.cliques == [tuple(sorted(map(g.ids.index, "abc")))]
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_oracle(self, p, seed):
         g = gnp(10, p, seed * 31 + int(p * 10))
-        got = set(enumerate_maximal_cliques(g, 1).cliques)
+        got = set(clique_sets(enumerate_maximal_cliques(g, 1).cliques))
         assert got == set(oracle_maximal_cliques(g))
 
     def test_one_candidate_frames_dominated_by_x(self):
@@ -60,24 +62,41 @@ class TestEnumerate:
         nx = pytest.importorskip("networkx")
         nx_graph = nx.Graph(list(g.edges()))
         for min_size in (1, 2, 3, 4):
-            want = sort_cliques(
+            want = sort_cover(
                 [c for c in oracle_maximal_cliques(g) if len(c) >= min_size])
             assert len(want) == 5
-            assert enumerate_maximal_cliques(g, min_size).cliques == want
-            assert sort_cliques(
+            assert clique_sets(enumerate_maximal_cliques(g, min_size).cliques) == want
+            assert sort_cover(
                 [c for c in nx.find_cliques(nx_graph) if len(c) >= min_size]) == want
 
     def test_every_output_maximal(self):
         g = gnp(25, 0.4, 77)
-        for c in enumerate_maximal_cliques(g, 1).cliques:
+        for c in clique_sets(enumerate_maximal_cliques(g, 1).cliques):
             assert is_maximal_clique(g, c)
 
     def test_sorted_descending(self):
         g = gnp(20, 0.5, 5)
         cs = enumerate_maximal_cliques(g, 1)
-        sizes = [len(c) for c in cs.cliques]
+        sizes = [len(c) for c in clique_sets(cs.cliques)]
         assert sizes == sorted(sizes, reverse=True)
         assert cs.cliques == sort_cliques(cs.cliques)
+
+    def test_peak_memory_per_member(self):
+        # The Moon-Moser graph K_{3x8}: 3^8 maximal cliques of 8 members,
+        # one from each part. A sorted tuple costs about 16 bytes a member
+        # at the peak, a frozenset about 110.
+        parts = [[f"p{i}{j}" for j in range(3)] for i in range(8)]
+        g = build_graph(
+            (a, b) for i, pa in enumerate(parts) for pb in parts[i + 1:] for a in pa for b in pb
+        )
+        tracemalloc.start()
+        try:
+            cliques = enumerate_maximal_cliques(g, 1).cliques
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cliques) == 3**8 and peak <= 32 * 8 * len(cliques)
+        assert {len(c) for c in clique_sets(cliques)} == {8}
 
     def test_resource_cap(self):
         g = gnp(20, 0.7, 1)
@@ -160,7 +179,8 @@ class TestFilterOverlapping:
 
     def test_matching_cores_match_oracle(self):
         # K_{2m+r} minus an m-edge matching: 2^m maximal cliques of size m + r,
-        # nothing discarded at 1.0, where the prefix probe is empty.
+        # nothing discarded at 1.0, where the prefix probe is empty. Sorted
+        # tuples and frozensets keep the same cliques, each as it was given.
         m, r = 6, 4
         matched = {(2 * i, 2 * i + 1) for i in range(m)}
         g = build_graph(
@@ -168,12 +188,15 @@ class TestFilterOverlapping:
             for a in range(2 * m + r) for b in range(a + 1, 2 * m + r)
             if (a, b) not in matched
         )
-        cs = enumerate_maximal_cliques(g, 1)
-        assert len(cs.cliques) == 2**m
-        for t in [i / 10 for i in range(11)]:
-            kept = filter_overlapping(cs, t).cliques
-            assert kept == oracle_filter_overlapping(cs.cliques, t), t
-        assert kept == cs.cliques
+        sets = clique_sets(enumerate_maximal_cliques(g, 1).cliques)
+        assert len(sets) == 2**m
+        for form in (tuple, frozenset):
+            cs = CliqueSet(cliques=[form(sorted(c)) for c in sets])
+            for t in [i / 10 for i in range(11)]:
+                kept = filter_overlapping(cs, t).cliques
+                assert all(type(c) is form for c in kept)
+                assert list(map(frozenset, kept)) == oracle_filter_overlapping(sets, t), t
+            assert kept == cs.cliques
 
     def test_threshold_out_of_range(self):
         cs = self.make_set({0, 1})

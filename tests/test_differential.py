@@ -16,7 +16,7 @@ from cliquecomm.cliques import enumerate_maximal_cliques
 from cliquecomm.graph import build_graph, planted_partition, sort_cover
 from cliquecomm.metrics import extended_modularity
 
-from conftest import gnp
+from conftest import clique_sets, gnp
 
 nx = pytest.importorskip("networkx")
 
@@ -79,7 +79,7 @@ def test_maximal_cliques(name):
     found = [frozenset(c) for c in nx.find_cliques(reference)]
     for min_size in (1, 3, 15):
         expected = {c for c in found if len(c) >= min_size}
-        got = enumerate_maximal_cliques(g, min_size).cliques
+        got = clique_sets(enumerate_maximal_cliques(g, min_size).cliques)
         assert len(got) == len(expected)
         assert set(got) == expected
 

@@ -190,13 +190,19 @@ class TestEdgeListIO:
         clean = "a\tb\nb\tc\nc\ta\nc\tc\n"
         f, g = tmp_path / "clean.tsv", tmp_path / "commented.tsv"
         f.write_text(clean)
-        g.write_text("# header\n" + clean.replace("b\tc\n", "b\tc\n\n   \n\t\n") + "\n")
         monkeypatch.setattr(graph_module, "_locate_bad_line", None)  # the line loop
-        want, got = load_edge_list(f), load_edge_list(g)
-        assert (got.ids, got.adjacency) == (want.ids, want.adjacency)
-        assert id_pairs(load_edge_list(g, directed=True)) == id_pairs(
-            load_edge_list(f, directed=True)
-        )
+        want = load_edge_list(f)
+        split, splits = graph_module._split, []
+        monkeypatch.setattr(graph_module, "_split", lambda r: splits.append(r) or split(r))
+        for header in ("# header", "# FromNodeId\tToNodeId"):
+            g.write_text(f"{header}\n" + clean.replace("b\tc\n", "b\tc\n\n   \n\t\n") + "\n")
+            splits.clear()
+            got = load_edge_list(g)
+            assert len(splits) == 1  # a first line starting with '#' skips the whole-file split
+            assert (got.ids, got.adjacency) == (want.ids, want.adjacency)
+            assert id_pairs(load_edge_list(g, directed=True)) == id_pairs(
+                load_edge_list(f, directed=True)
+            )
 
     def test_drop_counts_logged(self, tmp_path, caplog):
         f = tmp_path / "e.tsv"

@@ -37,10 +37,12 @@ from cliquecomm.graph import (
     mutualize,
     save_cover,
     save_edge_list,
+    sort_cover,
 )
 from cliquecomm.hashtags import community_theme, load_hashtags
 from cliquecomm.metrics import band_label, evaluate, parse_bands
 
+from conftest import clique_sets
 from oracles import (
     canonical_key,
     oracle_caa,
@@ -248,8 +250,8 @@ def test_cover_round_trip(data):
 @settings(deadline=None)
 @given(graphs_over(12), st.integers(1, 6))
 def test_enumerate_matches_oracle(g, min_size):
-    want = sort_cliques([c for c in oracle_maximal_cliques(g) if len(c) >= min_size])
-    assert enumerate_maximal_cliques(g, min_size).cliques == want
+    want = sorted((c for c in oracle_maximal_cliques(g) if len(c) >= min_size), key=canonical_key)
+    assert clique_sets(enumerate_maximal_cliques(g, min_size).cliques) == want
 
 
 # Duplicates, equal sizes and shared prefixes make the tie rules matter.
@@ -259,12 +261,13 @@ def test_enumerate_matches_oracle(g, min_size):
 )
 def test_sort_cliques_is_canonical(sets, rng):
     shuffled = rng.sample(sets, len(sets))
-    assert sort_cliques(shuffled) == sorted(shuffled, key=canonical_key)
+    got = sort_cliques([tuple(sorted(c)) for c in shuffled])
+    assert clique_sets(got) == sorted(shuffled, key=canonical_key) == sort_cover(shuffled)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 15), min_size=1, max_size=6), max_size=25))
 def test_filter_at_zero_is_pairwise_disjoint(sets):
-    kept = filter_overlapping(CliqueSet(sort_cliques(set(sets))), 0).cliques
+    kept = filter_overlapping(CliqueSet(sort_cover(set(sets))), 0).cliques
     assert all(not a & b for i, a in enumerate(kept) for b in kept[i + 1:])
 
 
@@ -275,7 +278,7 @@ def test_filter_at_zero_is_pairwise_disjoint(sets):
     st.randoms(use_true_random=False),
 )
 def test_filter_matches_oracle(sets, threshold, rng):
-    canonical = sort_cliques(sets)
+    canonical = sort_cover(sets)
     shuffled = rng.sample(canonical, len(canonical))
     for order in (canonical, shuffled):
         kept = filter_overlapping(CliqueSet(order), threshold).cliques
